@@ -10,9 +10,9 @@ burgers      intrinsic-graph summary: perimeter, first variation, curvature
 replay       rerun a recorded invocation and compare outputs
 
 Everything runs locally with no network access; outputs are plain CSV and
-JSON with floats printed by repr, so reruns are byte-identical.  The helper
-reads HPERIM_WORKERS for the default worker count.  Exit codes: 0 success,
-1 a check failed, 2 usage error, 3 instability scan exhausted.
+JSON with floats printed by repr, so reruns are byte-identical.  Exit codes:
+0 success, 1 a check failed, 2 usage error (a flag out of range, a reversed
+or empty box or window), 3 instability scan exhausted.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -62,20 +61,32 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _int_at_least(minimum: int):
+    """Argparse type for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("HPERIM_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _spec_from(args) -> QuadratureSpec:
     return QuadratureSpec(rel_tol=args.rel_tol, abs_floor=args.abs_floor)
+
+
+def _usage_error(message):
+    print(message, file=sys.stderr)
+    return EXIT_USAGE, {}
 
 
 def _write_or_print(path, text: str):
@@ -100,8 +111,6 @@ def _plateau_2d(window) -> ScalarField:
 
 
 def _add_common(sub):
-    sub.add_argument("--workers", type=int, default=_default_workers(),
-                     help="parallel integrand evaluations (default: HPERIM_WORKERS or 1)")
     sub.add_argument("--rel-tol", type=_positive_float, default=DEFAULT_SPEC.rel_tol)
     sub.add_argument("--abs-floor", type=_positive_float, default=DEFAULT_SPEC.abs_floor)
     sub.add_argument("--record", help="write a JSON run record to this path")
@@ -120,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=_finite_float, default=0.0)
     p.add_argument("--plane", nargs=3, type=_finite_float, metavar=("A", "B", "C"),
                    help="use the vertical plane Ax + By = C instead of the ruled graph")
-    p.add_argument("--grid", type=int, default=25)
+    p.add_argument("--grid", type=_int_at_least(2), default=25)
     p.add_argument("--box", nargs=4, type=_finite_float, default=[-2.0, 2.0, -2.0, 2.0],
                    metavar=("U0", "U1", "V0", "V1"))
     p.add_argument("--out", help="CSV output path (default: stdout)")
@@ -139,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.add_argument("--beta", type=_finite_float, default=0.0)
     p.add_argument("--direction", choices=("x1", "nuh"), default="x1")
-    p.add_argument("--kmax", type=int, default=64)
+    p.add_argument("--kmax", type=_int_at_least(0), default=64)
     p.add_argument("--out", help="certificate JSON path; scan CSV goes next to it")
     _add_common(p)
 
@@ -161,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="custom profile c0 + cu u + cv v + cuu u^2 + cuv u v + cvv v^2")
     p.add_argument("--window", nargs=4, type=_finite_float, default=[-1.0, 1.0, -1.0, 1.0],
                    metavar=("U0", "U1", "V0", "V1"))
-    p.add_argument("--grid", type=int, default=21)
+    p.add_argument("--grid", type=_int_at_least(1), default=21)
     p.add_argument("--out", help="JSON output path (default: stdout)")
     _add_common(p)
 
@@ -179,10 +188,11 @@ def cmd_curvature(args):
         shape = AlphaBetaGraph(args.alpha, args.beta)
         header = "y,t,curvature"
         label = f"ruled graph alpha={args.alpha} beta={args.beta}"
-    if args.grid < 2:
-        raise SystemExit(EXIT_USAGE)
     u0, u1, v0, v1 = args.box
-    patch = shape.patch((u0, u1), (v0, v1))
+    try:
+        patch = shape.patch((u0, u1), (v0, v1))
+    except ValueError as exc:
+        return _usage_error(exc)
     uu, vv = np.meshgrid(np.linspace(u0, u1, args.grid),
                          np.linspace(v0, v1, args.grid), indexing="ij")
     cx, cy, ct = patch.chart_jets(uu.ravel(), vv.ravel())
@@ -203,8 +213,7 @@ def cmd_identities(args):
     graph = AlphaBetaGraph(args.alpha, args.beta)
     spec = _spec_from(args)
     rows = point_identity_residuals(graph, n=args.samples, seed=args.seed)
-    ibp = ibp_residuals(graph, n=args.ibp_samples, seed=args.seed,
-                        spec=spec, workers=args.workers)
+    ibp = ibp_residuals(graph, n=args.ibp_samples, seed=args.seed, spec=spec)
 
     failures = []
     print(f"{'identity':28s} {'residual':>12s} {'allowed':>12s}  status")
@@ -248,7 +257,7 @@ def cmd_instability(args):
     try:
         cert = certify_instability(
             args.alpha, args.beta, args.direction, args.kmax,
-            spec=spec, workers=args.workers, on_step=show,
+            spec=spec, on_step=show,
         )
     except ScanExhaustedError as exc:
         print(f"scan exhausted: {exc}")
@@ -287,7 +296,7 @@ def cmd_hardy(args):
     lines = ["k,lhs,rhs,gap,lhs_limit,rhs_limit,gap_limit"]
     gaps = {}
     for k in args.klist:
-        lhs, rhs, gap = hardy_sides(k, args.alpha, spec, args.workers)
+        lhs, rhs, gap = hardy_sides(k, args.alpha, spec)
         gaps[_fmt(k)] = gap
         lines.append(
             f"{_fmt(k)},{_fmt(lhs)},{_fmt(rhs)},{_fmt(gap)},"
@@ -305,8 +314,7 @@ def cmd_burgers(args):
     elif args.mode == "plane":
         a, b, c = args.plane_coeffs
         if a == 0.0:
-            print("plane profile needs a nonzero first coefficient", file=sys.stderr)
-            return EXIT_USAGE, {}
+            return _usage_error("plane profile needs a nonzero first coefficient")
         phi = plane_phi(a, b, c)
     else:
         c0, cu, cv, cuu, cuv, cvv = args.coeffs
@@ -318,12 +326,15 @@ def cmd_burgers(args):
 
     spec = _spec_from(args)
     window = tuple(args.window)
-    graph = IntrinsicGraph(phi, window)
+    try:
+        graph = IntrinsicGraph(phi, window)
+    except ValueError as exc:
+        return _usage_error(exc)
     zeta = _plateau_2d(window)
 
-    perimeter = graph.perimeter(spec, args.workers)
-    weak = graph.first_variation(zeta, "weak", spec, args.workers)
-    strong = graph.first_variation(zeta, "strong", spec, args.workers)
+    perimeter = graph.perimeter(spec)
+    weak = graph.first_variation(zeta, "weak", spec)
+    strong = graph.first_variation(zeta, "strong", spec)
 
     u0, u1, v0, v1 = window
     uu, vv = np.meshgrid(np.linspace(u0, u1, args.grid),
@@ -365,8 +376,7 @@ def cmd_replay(args, parser):
             continue
         cleaned.append(token)
     if cleaned and cleaned[0] == "replay":
-        print("refusing to replay a replay record", file=sys.stderr)
-        return EXIT_USAGE, {}
+        return _usage_error("refusing to replay a replay record")
 
     replayed = parser.parse_args(cleaned)
     code, outputs = _dispatch(replayed, parser)

@@ -60,9 +60,6 @@ class Point:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.t)):
             raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y}, {self.t})")
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.t)
-
 
 IDENTITY = Point(0.0, 0.0, 0.0)
 
@@ -187,7 +184,7 @@ class Jet:
                 self,
                 np.power(v, expo),
                 expo * np.power(v, expo - 1),
-                expo * (expo - 1) * np.power(v, expo - 2) if expo != 1 else np.zeros_like(v),
+                expo * (expo - 1) * np.power(v, expo - 2),
             )
         v = self.val
         f0 = np.power(v, expo)

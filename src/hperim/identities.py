@@ -7,8 +7,8 @@ fields where one is needed:
   * mean-curvature-skew:   qbar Z pbar - pbar Z qbar = mean curvature
   * curvature-square:      (Z pbar)^2 + (Z qbar)^2 = (mean curvature)^2
   * z-obar:                -Z obar = a-coefficient
-  * coefficient-x1:        reduced X1 coefficient matches -2 alpha / (W^2 (1 + s^2))
-  * coefficient-nu:        2 A - obar^2 matches -2 alpha / W^2
+  * coefficient-x1:        FrameData.reduced_x1 matches -2 alpha / (W^2 (1 + s^2))
+  * coefficient-nu:        FrameData.reduced_nu matches -2 alpha / W^2
   * reconstruction:        X1 f = qbar Zf + pbar Yf,  X2 f = qbar Yf - pbar Zf
   * tangential-gradient:   (Zf)^2 = (X1 f)^2 + (X2 f)^2 - (Yf)^2
 
@@ -130,19 +130,11 @@ def point_identity_residuals(
     ))
     rows.append(_worst_row("z-obar", fd.z_obar + fd.a_coeff, y, t))
 
-    reduced_x1 = (
-        (fd.pbar * fd.grad_qbar[2] + fd.qbar * fd.grad_pbar[2])
-        - fd.obar * (fd.pbar * fd.y_of(fd.grad_qbar) + fd.qbar * fd.y_of(fd.grad_pbar))
-        - fd.qbar ** 2 * fd.obar ** 2
-        - fd.z_obar
-        - fd.pbar * fd.qbar * fd.obar * fd.mean_curvature
-    )
     rows.append(_worst_row(
-        "coefficient-x1", reduced_x1 - graph.coefficient_x1(y, t), y, t,
+        "coefficient-x1", fd.reduced_x1 - graph.coefficient_x1(y, t), y, t,
     ))
     rows.append(_worst_row(
-        "coefficient-nu",
-        2.0 * fd.a_coeff - fd.obar ** 2 - graph.coefficient_nu(y, t), y, t,
+        "coefficient-nu", fd.reduced_nu - graph.coefficient_nu(y, t), y, t,
     ))
 
     rec = np.zeros(n)
@@ -167,7 +159,6 @@ def ibp_residuals(
     n: int = 10,
     seed: int = 0,
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
 ) -> list:
     """Integration-by-parts residuals for n random supported fields.
 
@@ -189,8 +180,8 @@ def ibp_residuals(
         def obar_term(fd, zeta=zeta):
             return zeta.value(fd.x, fd.y, fd.t) * fd.obar
 
-        v1, e1 = integrate_on_surface(surface, patch, z_term, spec, workers)
-        v2, e2 = integrate_on_surface(surface, patch, obar_term, spec, workers)
+        v1, e1 = integrate_on_surface(surface, patch, z_term, spec)
+        v2, e2 = integrate_on_surface(surface, patch, obar_term, spec)
         rows.append({
             "name": "ibp-z",
             "sample": j,
@@ -207,9 +198,9 @@ def ibp_residuals(
         def curv_term(fd, zeta=zeta):
             return zeta.value(fd.x, fd.y, fd.t) * fd.obar * fd.mean_curvature
 
-        w1, f1 = integrate_on_surface(surface, patch, t_term, spec, workers)
-        w2, f2 = integrate_on_surface(surface, patch, y_obar_term, spec, workers)
-        w3, f3 = integrate_on_surface(surface, patch, curv_term, spec, workers)
+        w1, f1 = integrate_on_surface(surface, patch, t_term, spec)
+        w2, f2 = integrate_on_surface(surface, patch, y_obar_term, spec)
+        w3, f3 = integrate_on_surface(surface, patch, curv_term, spec)
         rows.append({
             "name": "ibp-t",
             "sample": j,

@@ -26,6 +26,7 @@ the full surface integrand before issuing a certificate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -57,20 +58,17 @@ PROFILE_ID = "exp-flat-step"
 
 _DIRECTIONS = {"x1": 1.5, "nuh": 0.5}
 
-_profile_constant_cache: dict = {}
 
-
-def profile_constant(n: int = 200001) -> float:
+@functools.cache
+def profile_constant() -> float:
     """sup |psi'| over the transition interval, by dense sampling.
 
     psi is piecewise flat outside [1, 2], so the sup over [1, 2] is global.
     The value is recorded in certificates so a profile change is visible.
     """
-    if n not in _profile_constant_cache:
-        f = ScalarField(lambda s: smooth_step(s), 1)
-        j = f.jet(np.linspace(1.0, 2.0, n))
-        _profile_constant_cache[n] = float(np.max(np.abs(j.grad[0])))
-    return _profile_constant_cache[n]
+    f = ScalarField(lambda s: smooth_step(s), 1)
+    j = f.jet(np.linspace(1.0, 2.0, 200001))
+    return float(np.max(np.abs(j.grad[0])))
 
 
 def _chi(k: float, s):
@@ -127,7 +125,6 @@ def hardy_sides(
     k: float,
     alpha: float,
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
 ) -> tuple:
     """(lhs, rhs, gap) of the one-dimensional comparison at cutoff width k."""
     if alpha <= 0:
@@ -143,8 +140,8 @@ def hardy_sides(
         return (1.0 + 0.5 * alpha * y * y) * dv * dv
 
     interval = (-2.0 * k, 2.0 * k)
-    lhs, _ = integrate_1d(lhs_integrand, interval, spec, workers)
-    rhs, _ = integrate_1d(rhs_integrand, interval, spec, workers)
+    lhs, _ = integrate_1d(lhs_integrand, interval, spec)
+    rhs, _ = integrate_1d(rhs_integrand, interval, spec)
     return lhs, rhs, lhs - rhs / (2.0 * alpha)
 
 
@@ -197,7 +194,6 @@ def certify_instability(
     direction: str = "x1",
     k_max: int = 64,
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
     on_step=None,
 ) -> InstabilityCertificate:
     """Scan cutoff widths until the second variation is certifiably negative.
@@ -221,7 +217,7 @@ def certify_instability(
         spec_k = replace(spec, abs_floor=spec.abs_floor / (k * k))
         box = (-2.0 * k, 2.0 * k, -2.0 * k, 2.0 * k)
         u = u_k_field(k, alpha)
-        value, error = pulled_back_form(graph, u, exponent, box, spec_k, workers)
+        value, error = pulled_back_form(graph, u, exponent, box, spec_k)
         row = {"k": k, "value": value, "error": error}
         scan.append(row)
         if on_step is not None:
@@ -232,9 +228,9 @@ def certify_instability(
         patch = graph.patch((-2.0 * k, 2.0 * k), (-2.0 * k, 2.0 * k))
         ambient = a_k_field(k, alpha, beta)
         if direction == "x1":
-            sv = second_variation_x1(graph.surface, patch, ambient, spec_k, "raw", workers)
+            sv = second_variation_x1(graph.surface, patch, ambient, spec_k, "raw")
         else:
-            sv = second_variation_nu(graph.surface, patch, ambient, None, spec_k, "raw", workers)
+            sv = second_variation_nu(graph.surface, patch, ambient, None, spec_k, "raw")
         tol = 10.0 * (error + sv.error) + 1e-9 * max(1.0, abs(value), abs(sv.value))
         if abs(value - sv.value) > tol:
             raise RuntimeError(

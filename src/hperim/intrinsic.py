@@ -90,7 +90,7 @@ def graph_mean_curvature(phi: ScalarField, u, v):
     return _CurvatureData(phi, u, v).curvature
 
 
-def graph_perimeter(phi: ScalarField, window, spec: QuadratureSpec | None = None, workers: int = 1) -> float:
+def graph_perimeter(phi: ScalarField, window, spec: QuadratureSpec | None = None) -> float:
     """Windowed perimeter: the integral of sqrt(1 + B_phi(phi)^2) over the window."""
     _require_profile(phi)
 
@@ -99,7 +99,7 @@ def graph_perimeter(phi: ScalarField, window, spec: QuadratureSpec | None = None
         b = j.grad[0] + j.val * j.grad[1]
         return np.sqrt(1.0 + b * b)
 
-    value, _ = integrate_2d(f, window, spec, workers)
+    value, _ = integrate_2d(f, window, spec)
     return value
 
 
@@ -109,7 +109,6 @@ def graph_first_variation(
     window,
     form: str = "weak",
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
 ) -> float:
     """First variation of the windowed perimeter along a compactly supported zeta.
 
@@ -138,7 +137,7 @@ def graph_first_variation(
     else:
         raise ValueError(f"form must be 'weak' or 'strong', got {form!r}")
 
-    value, _ = integrate_2d(f, window, spec, workers)
+    value, _ = integrate_2d(f, window, spec)
     return value
 
 
@@ -170,14 +169,17 @@ class IntrinsicGraph:
 
     def __init__(self, phi: ScalarField, window):
         _require_profile(phi)
+        u0, u1, v0, v1 = (float(b) for b in window)
+        if not (u0 < u1 and v0 < v1):
+            raise ValueError(f"degenerate window {tuple(window)}")
         self.phi = phi
-        self.window = tuple(float(b) for b in window)
+        self.window = (u0, u1, v0, v1)
 
-    def perimeter(self, spec=None, workers: int = 1) -> float:
-        return graph_perimeter(self.phi, self.window, spec, workers)
+    def perimeter(self, spec=None) -> float:
+        return graph_perimeter(self.phi, self.window, spec)
 
-    def first_variation(self, zeta, form="weak", spec=None, workers: int = 1) -> float:
-        return graph_first_variation(self.phi, zeta, self.window, form, spec, workers)
+    def first_variation(self, zeta, form="weak", spec=None) -> float:
+        return graph_first_variation(self.phi, zeta, self.window, form, spec)
 
     def mean_curvature(self, u, v):
         return graph_mean_curvature(self.phi, u, v)

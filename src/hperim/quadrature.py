@@ -5,9 +5,8 @@ a subset of the Kronrod nodes, so one batch of integrand samples yields both
 estimates).  The cell whose low/high-order discrepancy is largest is split
 until the summed discrepancy meets the tolerance.  The refinement path is a
 pure function of the spec and the integrand, and the final accumulation is a
-compensated sum over cells sorted by creation id, so results are bit-exact
-regardless of the worker count: workers only parallelize the evaluation of
-the two children of the popped cell.
+compensated sum over cells sorted by creation id, so results are
+bit-identical across runs.
 
 Integrands receive numpy arrays of sample coordinates and must return an
 array of values (vectorized evaluation; one call per cell).
@@ -16,7 +15,6 @@ array of values (vectorized evaluation; one call per cell).
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,64 +222,64 @@ def _split_2d(cell):
     return (ax, bx, ay, m), (ax, bx, m, by)
 
 
-def _adapt(f, first_cell, evaluate, split, spec, workers):
+def _adapt(f, first_cell, evaluate, split, spec):
+    rule = _RULES[spec.rule_order]
     seq = 0
-    val, err = evaluate(f, first_cell, _RULES[spec.rule_order])
+    val, err = evaluate(f, first_cell, rule)
     # heap entries: (-err, seq, cell, val, err); seq breaks ties deterministically
     heap = [(-err, seq, first_cell, val, err)]
     total_val = val
     total_err = err
     splits = 0
-    rule = _RULES[spec.rule_order]
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        while total_err > max(spec.abs_floor, spec.rel_tol * abs(total_val)):
-            if splits >= spec.max_subdivisions:
-                break
-            neg_err, _, cell, cval, cerr = heapq.heappop(heap)
-            if cerr <= 1e-17 * max(1.0, abs(total_val)):
-                # splitting cannot improve below rounding noise
-                heapq.heappush(heap, (neg_err, _, cell, cval, cerr))
-                break
-            children = split(cell)
-            if pool is not None:
-                results = list(pool.map(lambda c: evaluate(f, c, rule), children))
-            else:
-                results = [evaluate(f, c, rule) for c in children]
-            total_val -= cval
-            total_err -= cerr
-            for child, (v, e) in zip(children, results):
-                seq += 1
-                heapq.heappush(heap, (-e, seq, child, v, e))
-                total_val += v
-                total_err += e
-            splits += 1
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while total_err > max(spec.abs_floor, spec.rel_tol * abs(total_val)):
+        if splits >= spec.max_subdivisions:
+            break
+        neg_err, _, cell, cval, cerr = heapq.heappop(heap)
+        if cerr <= 1e-17 * max(1.0, abs(total_val)):
+            # splitting cannot improve below rounding noise
+            heapq.heappush(heap, (neg_err, _, cell, cval, cerr))
+            break
+        total_val -= cval
+        total_err -= cerr
+        for child in split(cell):
+            v, e = evaluate(f, child, rule)
+            seq += 1
+            heapq.heappush(heap, (-e, seq, child, v, e))
+            total_val += v
+            total_err += e
+        splits += 1
     leaves = sorted(heap, key=lambda entry: entry[1])
     value = compensated_sum(entry[3] for entry in leaves)
     error = compensated_sum(entry[4] for entry in leaves)
     return value, error
 
 
-def integrate_1d(f, interval, spec: QuadratureSpec | None = None, workers: int = 1):
-    """Integrate f over [a, b]; returns (value, error estimate)."""
+def integrate_1d(f, interval, spec: QuadratureSpec | None = None):
+    """Integrate f over [a, b]; returns (value, error estimate).
+
+    Refinement also stops, silently, after ``spec.max_subdivisions`` splits
+    or when the worst cell's error reaches the rounding floor; the estimate
+    is then returned with its error above the target.
+    """
     spec = spec or DEFAULT_SPEC
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration interval must be finite")
     if a == b:
         return 0.0, 0.0
-    return _adapt(f, (a, b), _eval_cell_1d, _split_1d, spec, max(1, int(workers)))
+    return _adapt(f, (a, b), _eval_cell_1d, _split_1d, spec)
 
 
-def integrate_2d(f, box, spec: QuadratureSpec | None = None, workers: int = 1):
-    """Integrate f(u, v) over [u0, u1] x [v0, v1]; returns (value, error estimate)."""
+def integrate_2d(f, box, spec: QuadratureSpec | None = None):
+    """Integrate f(u, v) over [u0, u1] x [v0, v1]; returns (value, error estimate).
+
+    Stops silently at ``spec.max_subdivisions`` and at the rounding floor,
+    as :func:`integrate_1d` does.
+    """
     spec = spec or DEFAULT_SPEC
     u0, u1, v0, v1 = (float(b) for b in box)
     if not all(np.isfinite(c) for c in (u0, u1, v0, v1)):
         raise ValueError("integration box must be finite")
     if u0 == u1 or v0 == v1:
         return 0.0, 0.0
-    return _adapt(f, (u0, u1, v0, v1), _eval_cell_2d, _split_2d, spec, max(1, int(workers)))
+    return _adapt(f, (u0, u1, v0, v1), _eval_cell_2d, _split_2d, spec)

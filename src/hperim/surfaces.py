@@ -41,11 +41,6 @@ __all__ = [
     "FrameData",
     "LevelSurface",
     "SurfacePatch",
-    "surface_frame",
-    "z_derivative",
-    "y_derivative",
-    "h_mean_curvature",
-    "a_coefficient",
     "integrate_on_surface",
     "h_perimeter_integral",
 ]
@@ -82,7 +77,7 @@ class FrameData:
     Gradients are Euclidean (d/dx, d/dy, d/dt) with shape (3,) + batch; the
     helpers turn them into frame and tangential derivatives.  Derived
     scalars (mean curvature, the second-variation coefficient, Z obar) are
-    precomputed.
+    precomputed; the reduced-form coefficients are computed on access.
     """
 
     __slots__ = (
@@ -142,6 +137,25 @@ class FrameData:
             + obar * obar
         )
 
+    @property
+    def reduced_x1(self):
+        """Zeroth-order coefficient of the reduced X1 second variation:
+        (pbar T qbar + qbar T pbar) - obar (pbar Y qbar + qbar Y pbar)
+        - qbar^2 obar^2 - Z obar - pbar qbar obar (mean curvature)."""
+        pb, qb, ob = self.pbar, self.qbar, self.obar
+        return (
+            (pb * self.grad_qbar[2] + qb * self.grad_pbar[2])
+            - ob * (pb * self.y_of(self.grad_qbar) + qb * self.y_of(self.grad_pbar))
+            - qb ** 2 * ob ** 2
+            - self.z_obar
+            - pb * qb * ob * self.mean_curvature
+        )
+
+    @property
+    def reduced_nu(self):
+        """Zeroth-order coefficient 2 A - obar^2 of the reduced normal second variation."""
+        return 2.0 * self.a_coeff - self.obar ** 2
+
     # directional derivatives from Euclidean gradients
     def x1_of(self, grad):
         return grad[0] - 0.5 * self.y * grad[2]
@@ -176,33 +190,6 @@ class LevelSurface:
             float(fd.p), float(fd.q), float(fd.omega), float(fd.W),
             float(fd.pbar), float(fd.qbar), float(fd.obar),
         )
-
-
-def surface_frame(surface: LevelSurface, g: Point) -> SurfaceFrame:
-    """Frame quantities (p, q, omega, W, pbar, qbar, obar) of the defining field at g."""
-    return surface.frame(g)
-
-
-def z_derivative(surface: LevelSurface, f: ScalarField, g: Point) -> float:
-    """Tangential horizontal derivative Z f = qbar X1 f - pbar X2 f at g."""
-    fd = surface.frame_data(g.x, g.y, g.t)
-    return float(fd.z_of(f.at(g).grad))
-
-
-def y_derivative(surface: LevelSurface, f: ScalarField, g: Point) -> float:
-    """Horizontal normal component Y f = pbar X1 f + qbar X2 f at g."""
-    fd = surface.frame_data(g.x, g.y, g.t)
-    return float(fd.y_of(f.at(g).grad))
-
-
-def h_mean_curvature(surface: LevelSurface, g: Point) -> float:
-    """Horizontal mean curvature X1 pbar + X2 qbar at g."""
-    return float(surface.frame_data(g.x, g.y, g.t).mean_curvature)
-
-
-def a_coefficient(surface: LevelSurface, g: Point) -> float:
-    """The coefficient (pbar T qbar - qbar T pbar) + obar (qbar Y pbar - pbar Y qbar) + obar^2."""
-    return float(surface.frame_data(g.x, g.y, g.t).a_coeff)
 
 
 @dataclass(frozen=True)
@@ -279,26 +266,24 @@ def integrate_on_surface(
     patch: SurfacePatch,
     term,
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
-    check_on_surface: bool = True,
 ):
     """Integrate term(fd) against the horizontal perimeter measure.
 
     ``term`` receives the batched FrameData of the sampled points and must
     return an array of integrand values; the measure weight (including the
     chart Jacobian) is applied here.  Returns (value, error estimate).
+    Raises ValueError if the chart leaves the surface on a validation grid.
     """
-    if check_on_surface:
-        resid = patch.max_defining_residual(surface)
-        if resid > _ON_SURFACE_TOL:
-            raise ValueError(f"chart leaves the surface: max |phi| = {resid:.3e} on the validation grid")
+    resid = patch.max_defining_residual(surface)
+    if resid > _ON_SURFACE_TOL:
+        raise ValueError(f"chart leaves the surface: max |phi| = {resid:.3e} on the validation grid")
 
     def f(u, v):
         jets = patch.chart_jets(u, v)
         fd = surface.frame_data(jets[0].val, jets[1].val, jets[2].val)
         return term(fd) * _measure_factor(fd, patch.transversal, jets)
 
-    return integrate_2d(f, patch.box, spec, workers)
+    return integrate_2d(f, patch.box, spec)
 
 
 def h_perimeter_integral(
@@ -306,10 +291,7 @@ def h_perimeter_integral(
     patch: SurfacePatch,
     f: ScalarField,
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
 ) -> float:
     """Integral of f over the patch against the horizontal perimeter measure."""
-    value, _ = integrate_on_surface(
-        surface, patch, lambda fd: f.value(fd.x, fd.y, fd.t), spec, workers
-    )
+    value, _ = integrate_on_surface(surface, patch, lambda fd: f.value(fd.x, fd.y, fd.t), spec)
     return value

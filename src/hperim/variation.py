@@ -123,7 +123,6 @@ def first_variation(
     patch: SurfacePatch,
     deformation: DeformationField,
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
 ) -> VariationResult:
     """First variation of the perimeter along the deformation."""
     _check_boundary_support(deformation.components(), patch)
@@ -135,7 +134,7 @@ def first_variation(
         kv = fk.value(fd.x, fd.y, fd.t)
         return fd.mean_curvature * (av * fd.p + bv * fd.q + kv * fd.omega) / fd.W
 
-    value, error = integrate_on_surface(surface, patch, term, spec, workers)
+    value, error = integrate_on_surface(surface, patch, term, spec)
     return VariationResult(value, error, "first-variation")
 
 
@@ -144,7 +143,6 @@ def second_variation_general(
     patch: SurfacePatch,
     deformation: DeformationField,
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
 ) -> VariationResult:
     """Second variation along a X1 + b X2 + k T through the general integrand."""
     _check_boundary_support(deformation.components(), patch)
@@ -171,7 +169,7 @@ def second_variation_general(
         ]
         return compensated_term_sum(terms)
 
-    value, error = integrate_on_surface(surface, patch, term, spec, workers)
+    value, error = integrate_on_surface(surface, patch, term, spec)
     return VariationResult(value, error, "general")
 
 
@@ -181,18 +179,13 @@ def second_variation_x1(
     a: ScalarField,
     spec: QuadratureSpec | None = None,
     form: str = "raw",
-    workers: int = 1,
 ) -> VariationResult:
     """Second variation along a X1.
 
     The raw form substitutes b = k = 0 into the general integrand; the
     reduced form, equal after integration by parts, is
-    pbar^2 (Za)^2 + a^2 * C with the zeroth-order coefficient
-
-        C = (pbar T qbar + qbar T pbar) - obar (pbar Y qbar + qbar Y pbar)
-            - qbar^2 obar^2 - Z obar - pbar qbar obar * (mean curvature)
-
-    assembled from frame-quantity derivatives.
+    pbar^2 (Za)^2 + a^2 C with C the zeroth-order coefficient
+    ``FrameData.reduced_x1``.
     """
     _check_boundary_support([a], patch)
 
@@ -213,20 +206,12 @@ def second_variation_x1(
 
         def term(fd: FrameData):
             av, za, _, _ = _derivs(fd, a.jet(fd.x, fd.y, fd.t))
-            pb, qb, ob = fd.pbar, fd.qbar, fd.obar
-            coeff = (
-                (pb * fd.grad_qbar[2] + qb * fd.grad_pbar[2])
-                - ob * (pb * fd.y_of(fd.grad_qbar) + qb * fd.y_of(fd.grad_pbar))
-                - qb * qb * ob * ob
-                - fd.z_obar
-                - pb * qb * ob * fd.mean_curvature
-            )
-            return pb * pb * za * za + av * av * coeff
+            return fd.pbar * fd.pbar * za * za + av * av * fd.reduced_x1
 
     else:
         raise ValueError(f"form must be 'raw' or 'reduced', got {form!r}")
 
-    value, error = integrate_on_surface(surface, patch, term, spec, workers)
+    value, error = integrate_on_surface(surface, patch, term, spec)
     return VariationResult(value, error, f"x1-{form}")
 
 
@@ -237,7 +222,6 @@ def second_variation_nu(
     k: ScalarField | None = None,
     spec: QuadratureSpec | None = None,
     form: str = "raw",
-    workers: int = 1,
 ) -> VariationResult:
     """Second variation along h nu_H + k T.
 
@@ -245,7 +229,7 @@ def second_variation_nu(
         (Zh + obar Zk)^2 + 2 h H (Tk - obar Yk)
         + obar Z(h^2) + 2 A h Zk + A h^2
     with H the mean curvature and A the a-coefficient.  Reduced form
-    (requires k = None):  (Zh)^2 + h^2 (2 A - obar^2).
+    (requires k = None):  (Zh)^2 + h^2 C with C = ``FrameData.reduced_nu``.
     """
     _check_boundary_support([h, k], patch)
 
@@ -274,12 +258,12 @@ def second_variation_nu(
 
         def term(fd: FrameData):
             hv, zh, _, _ = _derivs(fd, h.jet(fd.x, fd.y, fd.t))
-            return zh * zh + hv * hv * (2.0 * fd.a_coeff - fd.obar * fd.obar)
+            return zh * zh + hv * hv * fd.reduced_nu
 
     else:
         raise ValueError(f"form must be 'raw' or 'reduced', got {form!r}")
 
-    value, error = integrate_on_surface(surface, patch, term, spec, workers)
+    value, error = integrate_on_surface(surface, patch, term, spec)
     return VariationResult(value, error, f"nu-{form}")
 
 
@@ -327,7 +311,6 @@ def pulled_back_form(
     exponent: float,
     box,
     spec: QuadratureSpec | None = None,
-    workers: int = 1,
 ):
     """Chart-plane quadratic form of the reduced second variation.
 
@@ -349,14 +332,14 @@ def pulled_back_form(
             -2.0 * al * j.val * j.val / (c1 * de),
         ])
 
-    return integrate_2d(f, box, spec, workers)
+    return integrate_2d(f, box, spec)
 
 
-def pulled_back_x1(graph: AlphaBetaGraph, u: ScalarField, box, spec=None, workers: int = 1) -> float:
+def pulled_back_x1(graph: AlphaBetaGraph, u: ScalarField, box, spec=None) -> float:
     """X1-route second variation evaluated in the chart plane."""
-    return pulled_back_form(graph, u, 1.5, box, spec, workers)[0]
+    return pulled_back_form(graph, u, 1.5, box, spec)[0]
 
 
-def pulled_back_nu(graph: AlphaBetaGraph, u: ScalarField, box, spec=None, workers: int = 1) -> float:
+def pulled_back_nu(graph: AlphaBetaGraph, u: ScalarField, box, spec=None) -> float:
     """Horizontal-normal-route second variation evaluated in the chart plane."""
-    return pulled_back_form(graph, u, 0.5, box, spec, workers)[0]
+    return pulled_back_form(graph, u, 0.5, box, spec)[0]

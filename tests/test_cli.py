@@ -45,10 +45,26 @@ def test_curvature_csv_for_plane(tmp_path):
     assert len(lines) == 1 + 4 * 4
 
 
-def test_curvature_rejects_nonpositive_alpha():
-    with pytest.raises(SystemExit) as info:
-        run(["curvature", "--alpha", "0"])
-    assert info.value.code == EXIT_USAGE
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--alpha", "0"],
+    ["curvature", "--grid", "1"],
+    ["curvature", "--box", "1", "-1", "-1", "1"],
+    ["burgers", "--grid", "0"],
+    ["burgers", "--window", "1", "-1", "-1", "1"],
+    ["burgers", "--window", "1", "1", "-1", "1"],
+    ["instability", "--kmax", "-1"],
+], ids=[
+    "curvature-alpha-0", "curvature-grid-1", "curvature-reversed-box",
+    "burgers-grid-0", "burgers-reversed-window", "burgers-empty-window",
+    "instability-kmax-negative",
+])
+def test_usage_errors_exit_2_with_message(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.strip()
 
 
 def test_version_flag_exits_cleanly(capsys):

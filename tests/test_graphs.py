@@ -64,19 +64,8 @@ def test_coefficients_match_generic_route(alpha, beta):
     y, t = sample_yt(rng, 64, -2.0, 2.0)
     x = y * graph.slope(t)
     fd = graph.surface.frame_data(x, y, t)
-    # reduced x1 coefficient from generic jets
-    tp, tq = fd.t_of(fd.grad_pbar), fd.t_of(fd.grad_qbar)
-    yp, yq = fd.y_of(fd.grad_pbar), fd.y_of(fd.grad_qbar)
-    c_gen = (
-        fd.pbar * tq + fd.qbar * tp
-        - fd.obar * (fd.pbar * yq + fd.qbar * yp)
-        - fd.qbar ** 2 * fd.obar ** 2
-        - fd.z_of(fd.grad_obar)
-        - fd.pbar * fd.qbar * fd.obar * fd.mean_curvature
-    )
-    assert np.allclose(graph.coefficient_x1(y, t), c_gen, atol=1e-10)
-    c_nu = 2.0 * fd.a_coeff - fd.obar ** 2
-    assert np.allclose(graph.coefficient_nu(y, t), c_nu, atol=1e-10)
+    assert np.allclose(graph.coefficient_x1(y, t), fd.reduced_x1, atol=1e-10)
+    assert np.allclose(graph.coefficient_nu(y, t), fd.reduced_nu, atol=1e-10)
 
 
 @pytest.mark.parametrize("alpha,beta", PAIRS)

@@ -15,7 +15,6 @@ from hperim.surfaces import (
     SurfacePatch,
     h_perimeter_integral,
     integrate_on_surface,
-    surface_frame,
 )
 
 FRAME_TOL = 1e-12
@@ -50,14 +49,6 @@ def test_frame_on_ruled_graph_example():
     assert math.isclose(fr.omega, -1.0, abs_tol=FRAME_TOL)
     assert math.isclose(fr.W, 1.5 * math.sqrt(2.0), rel_tol=FRAME_TOL)
     assert math.isclose(fr.pbar ** 2 + fr.qbar ** 2, 1.0, abs_tol=FRAME_TOL)
-
-
-def test_surface_frame_free_function_matches_method():
-    surface = AlphaBetaGraph(2.0, -1.0).surface
-    g = Point(0.5 * (2.0 * 0.7 - 1.0), 0.5, 0.7)
-    a = surface.frame(g)
-    b = surface_frame(surface, g)
-    assert a == b
 
 
 def test_level_surface_requires_three_variable_field():
