@@ -138,10 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("identities", help="check the structural identity battery")
     p.add_argument("--alpha", type=_positive_float, default=1.0)
     p.add_argument("--beta", type=_finite_float, default=0.0)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(0), default=1000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
-    p.add_argument("--ibp-samples", type=int, default=2)
+    p.add_argument("--ibp-samples", type=_int_at_least(0), default=2)
     _add_common(p)
 
     p = subs.add_parser("instability", help="certify a negative second variation")
@@ -231,7 +231,7 @@ def cmd_identities(args):
         if not ok:
             failures.append(row)
 
-    if args.samples <= 0:
+    if args.samples == 0:
         print("warning: 0 samples requested, pointwise rows pass vacuously")
     for row in failures:
         where = row.get("worst_point")

@@ -2,19 +2,24 @@
 
 Each cell is evaluated with a nested Gauss-Kronrod pair (the Gauss nodes are
 a subset of the Kronrod nodes, so one batch of integrand samples yields both
-estimates).  The cell whose low/high-order discrepancy is largest is split
-until the summed discrepancy meets the tolerance.  The refinement path is a
-pure function of the spec and the integrand, and the final accumulation is a
-compensated sum over cells sorted by creation id, so results are
+estimates); a cell's error is its Kronrod/Gauss discrepancy.  Refinement runs
+in rounds over all leaf cells, after the region-batch design of DCUHRE
+(Berntsen, Espelid and Genz, ACM TOMS 1991).  Each round ranks the leaves by
+error and splits the fewest worst ones whose removal would bring the summed
+error within the tolerance (never more than the remaining
+``max_subdivisions`` budget, and never a cell at the rounding floor), then
+evaluates all their children together.  The refinement path is a pure
+function of the spec and the integrand, and the final accumulation is a
+compensated sum over the leaves in creation order, so results are
 bit-identical across runs.
 
 Integrands receive numpy arrays of sample coordinates and must return an
-array of values (vectorized evaluation; one call per cell).
+array of values of the same length, computed point by point: one call may
+hold the points of many cells (whole cells, at most 4,096 points per call).
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +118,11 @@ def _build_rule(order):
 
 _RULES = {15: _build_rule(15), 21: _build_rule(21)}
 
+# Most sample points passed to one integrand call.  Larger batches make the
+# jet algebra cheaper per point but cost memory, and the gain stops after a
+# few thousand points.
+_MAX_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -175,83 +185,78 @@ def compensated_term_sum(terms):
     return total + comp
 
 
-def _check_finite(values):
-    if not np.all(np.isfinite(values)):
+def _eval_cells(f, cells, rule):
+    """Kronrod value and |Kronrod - Gauss| of each row of an (m, 2d) cell array.
+
+    A row holds (lo, hi) per axis.  Each cell is sampled on the tensor grid of
+    the rule's nodes, first axis slowest; the integrand is called on at most
+    ``_MAX_POINTS`` points at a time, always on whole cells.
+    """
+    nodes, wk, gidx, wg = rule
+    n, d = nodes.size, cells.shape[1] // 2
+    lo, hi = cells[:, 0::2], cells[:, 1::2]
+    half = 0.5 * (hi - lo)
+    axes = (0.5 * (lo + hi))[:, :, None] + half[:, :, None] * nodes  # (m, d, n)
+    grid = [np.repeat(np.tile(axes[:, k], n**k), n ** (d - 1 - k), axis=1) for k in range(d)]
+    step = max(1, _MAX_POINTS // n**d)
+    fv = np.empty_like(grid[0])
+    for s in range(0, len(cells), step):
+        values = f(*(g[s:s + step].ravel() for g in grid))
+        fv[s:s + step] = np.asarray(values, dtype=float).reshape(-1, n**d)
+    if not np.all(np.isfinite(fv)):
         raise ValueError("quadrature integrand returned non-finite values")
+    kron = fv.reshape((-1,) + (n,) * d)
+    gauss = kron[(slice(None),) + np.ix_(*[gidx] * d)]
+    for _ in range(d):
+        kron, gauss = kron @ wk, gauss @ wg
+    scale = np.prod(half, axis=1)
+    ik = scale * kron
+    return ik, np.abs(ik - scale * gauss)
 
 
-def _eval_cell_1d(f, cell, rule):
-    a, b = cell
-    nodes, wk, gidx, wg = rule
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fv = np.asarray(f(mid + half * nodes), dtype=float)
-    _check_finite(fv)
-    ik = half * float(wk @ fv)
-    ig = half * float(wg @ fv[gidx])
-    return ik, abs(ik - ig)
+def _split_cells(cells):
+    """Halve each cell across its widest axis (the first on ties).
+
+    Returns the children as an array with each cell's two halves adjacent.
+    """
+    axis = np.argmax(cells[:, 1::2] - cells[:, 0::2], axis=1)
+    rows = np.arange(len(cells))
+    mid = 0.5 * (cells[rows, 2 * axis] + cells[rows, 2 * axis + 1])
+    lower, upper = cells.copy(), cells.copy()
+    lower[rows, 2 * axis + 1] = mid
+    upper[rows, 2 * axis] = mid
+    return np.stack([lower, upper], axis=1).reshape(-1, cells.shape[1])
 
 
-def _split_1d(cell):
-    a, b = cell
-    m = 0.5 * (a + b)
-    return (a, m), (m, b)
-
-
-def _eval_cell_2d(f, cell, rule):
-    ax, bx, ay, by = cell
-    nodes, wk, gidx, wg = rule
-    mx, hx = 0.5 * (ax + bx), 0.5 * (bx - ax)
-    my, hy = 0.5 * (ay + by), 0.5 * (by - ay)
-    px = mx + hx * nodes
-    py = my + hy * nodes
-    U, V = np.meshgrid(px, py, indexing="ij")
-    fv = np.asarray(f(U.ravel(), V.ravel()), dtype=float).reshape(nodes.size, nodes.size)
-    _check_finite(fv)
-    ikk = hx * hy * float(wk @ fv @ wk)
-    igg = hx * hy * float(wg @ fv[np.ix_(gidx, gidx)] @ wg)
-    return ikk, abs(ikk - igg)
-
-
-def _split_2d(cell):
-    ax, bx, ay, by = cell
-    if (bx - ax) >= (by - ay):
-        m = 0.5 * (ax + bx)
-        return (ax, m, ay, by), (m, bx, ay, by)
-    m = 0.5 * (ay + by)
-    return (ax, bx, ay, m), (ax, bx, m, by)
-
-
-def _adapt(f, first_cell, evaluate, split, spec):
+def _adapt(f, first_cell, spec):
     rule = _RULES[spec.rule_order]
-    seq = 0
-    val, err = evaluate(f, first_cell, rule)
-    # heap entries: (-err, seq, cell, val, err); seq breaks ties deterministically
-    heap = [(-err, seq, first_cell, val, err)]
-    total_val = val
-    total_err = err
+    # the leaf arrays stay in creation order: survivors keep their places
+    # and each round's children are appended, worst parent first
+    cells = np.asarray([first_cell], dtype=float)
+    vals, errs = _eval_cells(f, cells, rule)
     splits = 0
-    while total_err > max(spec.abs_floor, spec.rel_tol * abs(total_val)):
-        if splits >= spec.max_subdivisions:
+    while splits < spec.max_subdivisions:
+        total_val, total_err = float(vals.sum()), float(errs.sum())
+        target = max(spec.abs_floor, spec.rel_tol * abs(total_val))
+        if total_err <= target:
             break
-        neg_err, _, cell, cval, cerr = heapq.heappop(heap)
-        if cerr <= 1e-17 * max(1.0, abs(total_val)):
-            # splitting cannot improve below rounding noise
-            heapq.heappush(heap, (neg_err, _, cell, cval, cerr))
+        worst = np.argsort(-errs, kind="stable")
+        # splitting cannot improve a cell below rounding noise
+        worst = worst[errs[worst] > 1e-17 * max(1.0, abs(total_val))]
+        if worst.size == 0:
             break
-        total_val -= cval
-        total_err -= cerr
-        for child in split(cell):
-            v, e = evaluate(f, child, rule)
-            seq += 1
-            heapq.heappush(heap, (-e, seq, child, v, e))
-            total_val += v
-            total_err += e
-        splits += 1
-    leaves = sorted(heap, key=lambda entry: entry[1])
-    value = compensated_sum(entry[3] for entry in leaves)
-    error = compensated_sum(entry[4] for entry in leaves)
-    return value, error
+        # the fewest worst cells whose removal leaves an error sum within target
+        need = int(np.searchsorted(np.cumsum(errs[worst]), total_err - target)) + 1
+        chosen = worst[:min(need, spec.max_subdivisions - splits)]
+        children = _split_cells(cells[chosen])
+        child_vals, child_errs = _eval_cells(f, children, rule)
+        keep = np.ones(len(cells), dtype=bool)
+        keep[chosen] = False
+        cells = np.concatenate([cells[keep], children])
+        vals = np.concatenate([vals[keep], child_vals])
+        errs = np.concatenate([errs[keep], child_errs])
+        splits += chosen.size
+    return compensated_sum(vals), compensated_sum(errs)
 
 
 def integrate_1d(f, interval, spec: QuadratureSpec | None = None):
@@ -267,7 +272,7 @@ def integrate_1d(f, interval, spec: QuadratureSpec | None = None):
         raise ValueError("integration interval must be finite")
     if a == b:
         return 0.0, 0.0
-    return _adapt(f, (a, b), _eval_cell_1d, _split_1d, spec)
+    return _adapt(f, (a, b), spec)
 
 
 def integrate_2d(f, box, spec: QuadratureSpec | None = None):
@@ -282,4 +287,4 @@ def integrate_2d(f, box, spec: QuadratureSpec | None = None):
         raise ValueError("integration box must be finite")
     if u0 == u1 or v0 == v1:
         return 0.0, 0.0
-    return _adapt(f, (u0, u1, v0, v1), _eval_cell_2d, _split_2d, spec)
+    return _adapt(f, (u0, u1, v0, v1), spec)

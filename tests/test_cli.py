@@ -53,10 +53,14 @@ def test_curvature_csv_for_plane(tmp_path):
     ["burgers", "--window", "1", "-1", "-1", "1"],
     ["burgers", "--window", "1", "1", "-1", "1"],
     ["instability", "--kmax", "-1"],
+    ["identities", "--samples", "-3"],
+    ["identities", "--ibp-samples", "-2"],
+    ["identities", "--seed", "-1"],
 ], ids=[
     "curvature-alpha-0", "curvature-grid-1", "curvature-reversed-box",
     "burgers-grid-0", "burgers-reversed-window", "burgers-empty-window",
-    "instability-kmax-negative",
+    "instability-kmax-negative", "identities-samples-negative",
+    "identities-ibp-samples-negative", "identities-seed-negative",
 ])
 def test_usage_errors_exit_2_with_message(argv, capsys):
     try:

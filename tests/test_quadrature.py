@@ -1,10 +1,14 @@
 """Adaptive Gauss-Kronrod integration against a battery of closed forms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hperim.variation
+from hperim.graphs import AlphaBetaGraph
+from hperim.instability import u_k_field
 from hperim.quadrature import (
     DEFAULT_SPEC,
     QuadratureSpec,
@@ -185,3 +189,65 @@ def test_compensated_term_sum_is_elementwise():
     stacked = np.stack(terms)
     for i in range(16):
         assert out[i] == pytest.approx(math.fsum(stacked[:, i]), rel=1e-15, abs=1e-13)
+
+
+MAX_POINTS_PER_CALL = 4096
+
+
+def counting(f, sizes):
+    """Wrap an integrand so each call appends its point count to sizes."""
+
+    def wrapped(*coords):
+        sizes.append(coords[0].size)
+        return f(*coords)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("splits", [1, 5, 37])
+def test_subdivision_budget_fixes_points_and_batches_whole_cells(splits):
+    # far too oscillatory to converge within the budget, so every split is spent
+    spec = QuadratureSpec(max_subdivisions=splits)
+    for integrate, f, domain, per_cell in [
+        (integrate_1d, lambda x: np.sin(1e4 * x), (0.0, 1.0), 15),
+        (integrate_2d, lambda x, y: np.sin(1e3 * x) * np.cos(1e3 * y), (0.0, 1.0, 0.0, 1.0), 225),
+    ]:
+        sizes = []
+        integrate(counting(f, sizes), domain, spec)
+        assert sum(sizes) == (1 + 2 * splits) * per_cell
+        assert all(n % per_cell == 0 and n <= MAX_POINTS_PER_CALL for n in sizes)
+
+
+def test_chart_plane_integral_takes_few_calls(monkeypatch):
+    # the k = 2 scan step of certify_instability(1, 0, "x1")
+    sizes = []
+    inner = hperim.variation.integrate_2d
+    monkeypatch.setattr(
+        hperim.variation, "integrate_2d",
+        lambda f, box, spec: inner(counting(f, sizes), box, spec),
+    )
+    spec = replace(DEFAULT_SPEC, abs_floor=DEFAULT_SPEC.abs_floor / 4)
+    box = (-4.0, 4.0, -4.0, 4.0)
+    graph, profile = AlphaBetaGraph(1.0, 0.0), u_k_field(2, 1.0)
+    value, err = hperim.variation.pulled_back_form(graph, profile, 1.5, box, spec)
+    assert value + err < 0.0
+    assert len(sizes) <= 60
+    assert sum(sizes) <= 160875
+    assert max(sizes) <= MAX_POINTS_PER_CALL
+
+
+@pytest.mark.parametrize("integrate,f,domain,exact", [
+    (integrate_1d, lambda x: 1e6 * (1.0 + x * x) ** -2.0, (-1.0, 1.0), 1e6 * (math.pi + 2.0) / 4.0),
+    (integrate_2d, lambda x, y: 1e6 / (1.0 + x + y), (0.0, 1.0, 0.0, 1.0), 1e6 * math.log(27.0 / 16.0)),
+], ids=["1d", "2d"])
+def test_unreachable_tolerance_stops_at_rounding_floor(integrate, f, domain, exact):
+    # at this magnitude rounding noise alone keeps the error above abs_floor;
+    # with the target out of reach and the split budget far off, only the
+    # rounding floor can end refinement
+    spec = QuadratureSpec(rel_tol=1e-30)
+    sizes = []
+    value, err = integrate(counting(f, sizes), domain, spec)
+    assert math.isfinite(value) and math.isfinite(err)
+    assert err > spec.abs_floor
+    assert sum(sizes) < 100 * 225
+    assert abs(value - exact) <= 1e-12 * exact
