@@ -7,161 +7,27 @@ and the instability of the ruled minimal graphs x = y (alpha t + beta) is
 certified by explicit cutoff deformations with negative second variation.
 """
 
-from .core import (
-    IDENTITY,
-    Jet,
-    Point,
-    ScalarField,
-    dilation,
-    flat_exp,
-    frame_derivative,
-    frame_second,
-    group_inverse,
-    group_mul,
-    jet_abs,
-    jet_cos,
-    jet_exp,
-    jet_sin,
-    jet_sqrt,
-    smooth_step,
-)
-from .graphs import AlphaBetaGraph, SwappedGraph, VerticalPlane
-from .identities import ibp_residuals, point_identity_residuals, random_smooth_field
-from .instability import (
-    PROFILE_ID,
-    InstabilityCertificate,
-    ScanExhaustedError,
-    a_k_field,
-    certify_instability,
-    cutoff,
-    cutoff_prime,
-    f_k,
-    f_k_prime,
-    hardy_limits,
-    hardy_sides,
-    profile_constant,
-    u_k_field,
-)
-from .intrinsic import (
-    IntrinsicGraph,
-    burgers,
-    family_phi,
-    graph_first_variation,
-    graph_mean_curvature,
-    graph_perimeter,
-    lift,
-    lift_patch,
-    lift_point,
-    plane_phi,
-)
-from .quadrature import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    compensated_sum,
-    compensated_term_sum,
-    integrate_1d,
-    integrate_2d,
-)
-from .surfaces import (
-    CHARACTERISTIC_RTOL,
-    CharacteristicPointError,
-    ChartDegenerateError,
-    FrameData,
-    LevelSurface,
-    SurfaceFrame,
-    SurfacePatch,
-    h_perimeter_integral,
-    integrate_on_surface,
-)
-from .variation import (
-    DeformationField,
-    VariationResult,
-    extend_profile,
-    first_variation,
-    nu_deformation,
-    pulled_back_form,
-    pulled_back_nu,
-    pulled_back_x1,
-    second_variation_general,
-    second_variation_nu,
-    second_variation_x1,
-    zero_field,
-)
+from . import core, graphs, identities, instability, intrinsic, quadrature, surfaces, variation
+from .core import *  # noqa: F401,F403
+from .graphs import *  # noqa: F401,F403
+from .identities import *  # noqa: F401,F403
+from .instability import *  # noqa: F401,F403
+from .intrinsic import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .surfaces import *  # noqa: F401,F403
+from .variation import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of its public names
 __all__ = [
-    "IDENTITY",
-    "Jet",
-    "Point",
-    "ScalarField",
-    "dilation",
-    "flat_exp",
-    "frame_derivative",
-    "frame_second",
-    "group_inverse",
-    "group_mul",
-    "jet_abs",
-    "jet_cos",
-    "jet_exp",
-    "jet_sin",
-    "jet_sqrt",
-    "smooth_step",
-    "AlphaBetaGraph",
-    "SwappedGraph",
-    "VerticalPlane",
-    "ibp_residuals",
-    "point_identity_residuals",
-    "random_smooth_field",
-    "PROFILE_ID",
-    "InstabilityCertificate",
-    "ScanExhaustedError",
-    "a_k_field",
-    "certify_instability",
-    "cutoff",
-    "cutoff_prime",
-    "f_k",
-    "f_k_prime",
-    "hardy_limits",
-    "hardy_sides",
-    "profile_constant",
-    "u_k_field",
-    "IntrinsicGraph",
-    "burgers",
-    "family_phi",
-    "graph_first_variation",
-    "graph_mean_curvature",
-    "graph_perimeter",
-    "lift",
-    "lift_patch",
-    "lift_point",
-    "plane_phi",
-    "DEFAULT_SPEC",
-    "QuadratureSpec",
-    "compensated_sum",
-    "compensated_term_sum",
-    "integrate_1d",
-    "integrate_2d",
-    "CHARACTERISTIC_RTOL",
-    "CharacteristicPointError",
-    "ChartDegenerateError",
-    "FrameData",
-    "LevelSurface",
-    "SurfaceFrame",
-    "SurfacePatch",
-    "h_perimeter_integral",
-    "integrate_on_surface",
-    "DeformationField",
-    "VariationResult",
-    "extend_profile",
-    "first_variation",
-    "nu_deformation",
-    "pulled_back_form",
-    "pulled_back_nu",
-    "pulled_back_x1",
-    "second_variation_general",
-    "second_variation_nu",
-    "second_variation_x1",
-    "zero_field",
+    *core.__all__,
+    *graphs.__all__,
+    *identities.__all__,
+    *instability.__all__,
+    *intrinsic.__all__,
+    *quadrature.__all__,
+    *surfaces.__all__,
+    *variation.__all__,
     "__version__",
 ]

@@ -12,7 +12,8 @@ replay       rerun a recorded invocation and compare outputs
 Everything runs locally with no network access; outputs are plain CSV and
 JSON with floats printed by repr, so reruns are byte-identical.  Exit codes:
 0 success, 1 a check failed, 2 usage error (a flag out of range, a reversed
-or empty box or window), 3 instability scan exhausted.
+or empty box or window, a zero plane normal, an unreadable or malformed
+replay record), 3 instability scan exhausted.
 """
 
 from __future__ import annotations
@@ -180,16 +181,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_curvature(args):
-    if args.plane is not None:
-        shape = VerticalPlane(*args.plane)
-        header = "u,v,curvature"
-        label = f"plane {args.plane[0]} x + {args.plane[1]} y = {args.plane[2]}"
-    else:
-        shape = AlphaBetaGraph(args.alpha, args.beta)
-        header = "y,t,curvature"
-        label = f"ruled graph alpha={args.alpha} beta={args.beta}"
     u0, u1, v0, v1 = args.box
     try:
+        if args.plane is not None:
+            shape = VerticalPlane(*args.plane)
+            header = "u,v,curvature"
+            label = f"plane {args.plane[0]} x + {args.plane[1]} y = {args.plane[2]}"
+        else:
+            shape = AlphaBetaGraph(args.alpha, args.beta)
+            header = "y,t,curvature"
+            label = f"ruled graph alpha={args.alpha} beta={args.beta}"
         patch = shape.patch((u0, u1), (v0, v1))
     except ValueError as exc:
         return _usage_error(exc)
@@ -332,9 +333,9 @@ def cmd_burgers(args):
         return _usage_error(exc)
     zeta = _plateau_2d(window)
 
-    perimeter = graph.perimeter(spec)
-    weak = graph.first_variation(zeta, "weak", spec)
-    strong = graph.first_variation(zeta, "strong", spec)
+    perimeter = graph.perimeter(spec).value
+    weak = graph.first_variation(zeta, "weak", spec).value
+    strong = graph.first_variation(zeta, "strong", spec).value
 
     u0, u1, v0, v1 = window
     uu, vv = np.meshgrid(np.linspace(u0, u1, args.grid),
@@ -361,8 +362,14 @@ def cmd_burgers(args):
 
 
 def cmd_replay(args, parser):
-    data = json.loads(Path(args.record_file).read_text())
-    argv = list(data["argv"])
+    try:
+        data = json.loads(Path(args.record_file).read_text())
+        argv = data["argv"]
+        want = json.dumps(data["outputs"], sort_keys=True)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return _usage_error(f"cannot replay {args.record_file}: {type(exc).__name__}: {exc}")
+    if not (isinstance(argv, list) and all(isinstance(token, str) for token in argv)):
+        return _usage_error(f"cannot replay {args.record_file}: argv is not a list of strings")
     cleaned = []
     skip = False
     for token in argv:
@@ -383,7 +390,6 @@ def cmd_replay(args, parser):
     if code != EXIT_OK:
         print(f"replayed command exited with {code}")
         return code, outputs
-    want = json.dumps(data["outputs"], sort_keys=True)
     got = json.dumps(outputs, sort_keys=True)
     if want == got:
         print("replay outputs match the record")

@@ -9,7 +9,8 @@ Left translation preserves the frame
 
     X1 = d/dx - (y/2) d/dt,   X2 = d/dy + (x/2) d/dt,   T = d/dt,
 
-whose single nontrivial commutator is [X1, X2] = T.  Everything downstream
+whose single nontrivial commutator is [X1, X2] = T (frame derivatives of a
+field are taken, in batches, by ``surfaces.FrameData``).  Everything downstream
 (surface frames, curvature, variation integrands) consumes first and second
 derivatives of scalar fields, so fields are built from jet arithmetic:
 coordinates, constants, +, *, /, powers, exp, trig, and the flat exponential
@@ -40,11 +41,7 @@ __all__ = [
     "jet_abs",
     "flat_exp",
     "smooth_step",
-    "ScalarJet",
     "ScalarField",
-    "frame_derivative",
-    "frame_second",
-    "FRAME_NAMES",
 ]
 
 
@@ -250,19 +247,6 @@ def smooth_step(u: Jet) -> Jet:
     return n / (n + flat_exp(u - 1.0))
 
 
-@dataclass(frozen=True)
-class ScalarJet:
-    """Snapshot of a field at a point: value, Euclidean gradient, Hessian.
-
-    ``grad`` has shape (3,) ordered (d/dx, d/dy, d/dt); ``hess`` is the
-    symmetric (3, 3) matrix of second coordinate derivatives.
-    """
-
-    value: float
-    grad: np.ndarray
-    hess: np.ndarray
-
-
 class ScalarField:
     """Scalar field defined by a jet-arithmetic rule of ``nvars`` arguments.
 
@@ -293,46 +277,3 @@ class ScalarField:
 
     def value(self, *coords):
         return self.jet(*coords).val
-
-    def at(self, g: Point) -> ScalarJet:
-        if self.nvars != 3:
-            raise ValueError("point evaluation requires a field of the three ambient coordinates")
-        j = self.jet(g.x, g.y, g.t)
-        return ScalarJet(float(j.val), np.array(j.grad, dtype=float), np.array(j.hess, dtype=float))
-
-
-FRAME_NAMES = ("X1", "X2", "T")
-
-
-def _frame_coefficients(which: str, g: Point) -> np.ndarray:
-    if which == "X1":
-        return np.array([1.0, 0.0, -0.5 * g.y])
-    if which == "X2":
-        return np.array([0.0, 1.0, 0.5 * g.x])
-    if which == "T":
-        return np.array([0.0, 0.0, 1.0])
-    raise ValueError(f"unknown frame direction {which!r}, expected one of {FRAME_NAMES}")
-
-
-def frame_derivative(f: ScalarField, g: Point, which: str) -> float:
-    """Derivative of f at g along X1, X2, or T."""
-    j = f.at(g)
-    return float(_frame_coefficients(which, g) @ j.grad)
-
-
-def frame_second(f: ScalarField, g: Point, first: str, second: str) -> float:
-    """Iterated frame derivative (first applied after second), e.g. X1(X2 f).
-
-    The frame coefficients depend on the point, so beyond the Hessian
-    contraction the derivative of the inner t-coefficient enters: the
-    t-coefficient of X1 is -y/2 and of X2 is x/2.
-    """
-    j = f.at(g)
-    v = _frame_coefficients(first, g)
-    w = _frame_coefficients(second, g)
-    out = float(v @ j.hess @ w)
-    if second == "X1":
-        out += -0.5 * v[1] * j.grad[2]
-    elif second == "X2":
-        out += 0.5 * v[0] * j.grad[2]
-    return out

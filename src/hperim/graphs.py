@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Point, ScalarField
+from .core import ScalarField
 from .surfaces import LevelSurface, SurfaceFrame, SurfacePatch
 
 __all__ = [
@@ -70,9 +70,6 @@ class AlphaBetaGraph:
 
     def slope(self, t):
         return self.alpha * np.asarray(t, float) + self.beta
-
-    def chart_point(self, y: float, t: float) -> Point:
-        return Point(y * (self.alpha * t + self.beta), y, t)
 
     def patch(self, ybox, tbox) -> SurfacePatch:
         a, b = self.alpha, self.beta
@@ -168,9 +165,6 @@ class SwappedGraph:
         a, b = self.alpha, self.beta
         self.surface = LevelSurface(ScalarField(lambda x, y, t: y - x * (a * t + b), 3))
         self._base = AlphaBetaGraph(-self.alpha, self.beta)
-
-    def chart_point(self, x: float, t: float) -> Point:
-        return Point(x, x * (self.alpha * t + self.beta), t)
 
     def patch(self, xbox, tbox) -> SurfacePatch:
         a, b = self.alpha, self.beta

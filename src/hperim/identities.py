@@ -180,13 +180,13 @@ def ibp_residuals(
         def obar_term(fd, zeta=zeta):
             return zeta.value(fd.x, fd.y, fd.t) * fd.obar
 
-        v1, e1 = integrate_on_surface(surface, patch, z_term, spec)
-        v2, e2 = integrate_on_surface(surface, patch, obar_term, spec)
+        z = integrate_on_surface(surface, patch, z_term, spec)
+        o = integrate_on_surface(surface, patch, obar_term, spec)
         rows.append({
             "name": "ibp-z",
             "sample": j,
-            "residual": abs(v1 + v2),
-            "budget": 10.0 * (e1 + e2) + 1e-9 * max(1.0, abs(v1), abs(v2)),
+            "residual": abs(z.value + o.value),
+            "budget": 10.0 * (z.error + o.error) + 1e-9 * max(1.0, abs(z.value), abs(o.value)),
         })
 
         def t_term(fd, zeta=zeta):
@@ -198,14 +198,15 @@ def ibp_residuals(
         def curv_term(fd, zeta=zeta):
             return zeta.value(fd.x, fd.y, fd.t) * fd.obar * fd.mean_curvature
 
-        w1, f1 = integrate_on_surface(surface, patch, t_term, spec)
-        w2, f2 = integrate_on_surface(surface, patch, y_obar_term, spec)
-        w3, f3 = integrate_on_surface(surface, patch, curv_term, spec)
+        t = integrate_on_surface(surface, patch, t_term, spec)
+        y = integrate_on_surface(surface, patch, y_obar_term, spec)
+        c = integrate_on_surface(surface, patch, curv_term, spec)
         rows.append({
             "name": "ibp-t",
             "sample": j,
-            "residual": abs(w1 - w2 - w3),
-            "budget": 10.0 * (f1 + f2 + f3) + 1e-9 * max(1.0, abs(w1), abs(w2), abs(w3)),
+            "residual": abs(t.value - y.value - c.value),
+            "budget": 10.0 * (t.error + y.error + c.error)
+            + 1e-9 * max(1.0, abs(t.value), abs(y.value), abs(c.value)),
         })
 
     return rows

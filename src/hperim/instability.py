@@ -19,7 +19,7 @@ one-dimensional Hardy-type comparison: the gap
 
 tends to (3 pi / 8) sqrt(2 / alpha) > 0, so the gap is eventually positive
 and the second variation eventually negative.  ``certify_instability`` scans
-k = 1, 2, ... until the quadrature certifies a strictly negative value
+k = 1, 2, ... until the quadrature converges to a strictly negative value
 (value + error < 0), then cross-checks the cheap chart-plane route against
 the full surface integrand before issuing a certificate.
 """
@@ -140,8 +140,8 @@ def hardy_sides(
         return (1.0 + 0.5 * alpha * y * y) * dv * dv
 
     interval = (-2.0 * k, 2.0 * k)
-    lhs, _ = integrate_1d(lhs_integrand, interval, spec)
-    rhs, _ = integrate_1d(rhs_integrand, interval, spec)
+    lhs = integrate_1d(lhs_integrand, interval, spec).value
+    rhs = integrate_1d(rhs_integrand, interval, spec).value
     return lhs, rhs, lhs - rhs / (2.0 * alpha)
 
 
@@ -199,9 +199,10 @@ def certify_instability(
     """Scan cutoff widths until the second variation is certifiably negative.
 
     The primary evaluation is the chart-plane form (exponent 3/2 for the X1
-    direction, 1/2 for the horizontal normal).  Once value + error < 0 the
-    same deformation is pushed through the raw surface integrand, and the two
-    routes must agree within ten times their combined reported errors.
+    direction, 1/2 for the horizontal normal).  Once it has converged with
+    value + error < 0 the same deformation is pushed through the raw surface
+    integrand, which must converge too, and the two routes must agree within
+    ten times their combined reported errors; otherwise RuntimeError.
     Raises ScanExhaustedError if k_max is reached without a certificate.
     """
     if direction not in _DIRECTIONS:
@@ -217,12 +218,12 @@ def certify_instability(
         spec_k = replace(spec, abs_floor=spec.abs_floor / (k * k))
         box = (-2.0 * k, 2.0 * k, -2.0 * k, 2.0 * k)
         u = u_k_field(k, alpha)
-        value, error = pulled_back_form(graph, u, exponent, box, spec_k)
-        row = {"k": k, "value": value, "error": error}
+        chart = pulled_back_form(graph, u, exponent, box, spec_k)
+        row = {"k": k, "value": chart.value, "error": chart.error}
         scan.append(row)
         if on_step is not None:
             on_step(row)
-        if value + error >= 0.0:
+        if not chart.converged or chart.value + chart.error >= 0.0:
             continue
 
         patch = graph.patch((-2.0 * k, 2.0 * k), (-2.0 * k, 2.0 * k))
@@ -231,19 +232,21 @@ def certify_instability(
             sv = second_variation_x1(graph.surface, patch, ambient, spec_k, "raw")
         else:
             sv = second_variation_nu(graph.surface, patch, ambient, None, spec_k, "raw")
-        tol = 10.0 * (error + sv.error) + 1e-9 * max(1.0, abs(value), abs(sv.value))
-        if abs(value - sv.value) > tol:
+        if not sv.converged:
+            raise RuntimeError(f"surface route did not converge at k={k}: {sv.value!r} +/- {sv.error!r}")
+        tol = 10.0 * (chart.error + sv.error) + 1e-9 * max(1.0, abs(chart.value), abs(sv.value))
+        if abs(chart.value - sv.value) > tol:
             raise RuntimeError(
                 "chart-plane and surface routes disagree: "
-                f"{value!r} vs {sv.value!r} (tol {tol!r}) at k={k}"
+                f"{chart.value!r} vs {sv.value!r} (tol {tol!r}) at k={k}"
             )
         return InstabilityCertificate(
             alpha=float(alpha),
             beta=float(beta),
             direction=direction,
             k=k,
-            value=value,
-            error=error,
+            value=chart.value,
+            error=chart.error,
             surface_value=sv.value,
             surface_error=sv.error,
             agreement_tol=tol,

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Point, ScalarField
-from .quadrature import QuadratureSpec, integrate_2d
+from .core import ScalarField
+from .quadrature import Integral, QuadratureSpec, integrate_2d
 from .surfaces import LevelSurface, SurfacePatch
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "plane_phi",
     "lift",
     "lift_patch",
-    "lift_point",
 ]
 
 
@@ -66,31 +65,22 @@ def burgers(phi: ScalarField, F: ScalarField, u, v):
     return jf.grad[0] + phi.value(u, v) * jf.grad[1]
 
 
-class _CurvatureData:
-    """First-order data of B = B_phi(phi) and of B / sqrt(1 + B^2)."""
-
-    __slots__ = ("phi_val", "b_val", "ratio_val", "curvature")
-
-    def __init__(self, phi: ScalarField, u, v):
-        j = phi.jet(u, v)
-        G, H = j.grad, j.hess
-        self.phi_val = j.val
-        b = G[0] + j.val * G[1]
-        b_grad = H[0] + G * G[1] + j.val * H[1]
-        self.b_val = b
-        s32 = np.power(1.0 + b * b, 1.5)
-        ratio_grad = b_grad / s32
-        self.ratio_val = b / np.sqrt(1.0 + b * b)
-        self.curvature = -(ratio_grad[0] + j.val * ratio_grad[1])
-
-
 def graph_mean_curvature(phi: ScalarField, u, v):
-    """Horizontal mean curvature of the parametrized surface at chart point (u, v)."""
+    """Horizontal mean curvature of the parametrized surface at chart point (u, v).
+
+    With B = B_phi(phi) this is -B_phi(B / sqrt(1 + B^2)), formed from the
+    first derivatives of B.
+    """
     _require_profile(phi)
-    return _CurvatureData(phi, u, v).curvature
+    j = phi.jet(u, v)
+    G, H = j.grad, j.hess
+    b = G[0] + j.val * G[1]
+    b_grad = H[0] + G * G[1] + j.val * H[1]
+    ratio_grad = b_grad / np.power(1.0 + b * b, 1.5)
+    return -(ratio_grad[0] + j.val * ratio_grad[1])
 
 
-def graph_perimeter(phi: ScalarField, window, spec: QuadratureSpec | None = None) -> float:
+def graph_perimeter(phi: ScalarField, window, spec: QuadratureSpec | None = None) -> Integral:
     """Windowed perimeter: the integral of sqrt(1 + B_phi(phi)^2) over the window."""
     _require_profile(phi)
 
@@ -99,8 +89,7 @@ def graph_perimeter(phi: ScalarField, window, spec: QuadratureSpec | None = None
         b = j.grad[0] + j.val * j.grad[1]
         return np.sqrt(1.0 + b * b)
 
-    value, _ = integrate_2d(f, window, spec)
-    return value
+    return integrate_2d(f, window, spec)
 
 
 def graph_first_variation(
@@ -109,7 +98,7 @@ def graph_first_variation(
     window,
     form: str = "weak",
     spec: QuadratureSpec | None = None,
-) -> float:
+) -> Integral:
     """First variation of the windowed perimeter along a compactly supported zeta.
 
     The weak form integrates
@@ -131,14 +120,12 @@ def graph_first_variation(
     elif form == "strong":
 
         def f(u, v):
-            cd = _CurvatureData(phi, u, v)
-            return zeta.value(u, v) * cd.curvature
+            return zeta.value(u, v) * graph_mean_curvature(phi, u, v)
 
     else:
         raise ValueError(f"form must be 'weak' or 'strong', got {form!r}")
 
-    value, _ = integrate_2d(f, window, spec)
-    return value
+    return integrate_2d(f, window, spec)
 
 
 def lift(phi: ScalarField) -> LevelSurface:
@@ -159,11 +146,6 @@ def lift_patch(phi: ScalarField, window) -> SurfacePatch:
     return SurfacePatch(chart=chart, box=tuple(float(b) for b in window), transversal="x")
 
 
-def lift_point(phi: ScalarField, u: float, v: float) -> Point:
-    p = float(phi.value(u, v))
-    return Point(p, float(u), float(v) - 0.5 * float(u) * p)
-
-
 class IntrinsicGraph:
     """A profile together with the window it is studied on."""
 
@@ -175,10 +157,10 @@ class IntrinsicGraph:
         self.phi = phi
         self.window = (u0, u1, v0, v1)
 
-    def perimeter(self, spec=None) -> float:
+    def perimeter(self, spec=None) -> Integral:
         return graph_perimeter(self.phi, self.window, spec)
 
-    def first_variation(self, zeta, form="weak", spec=None) -> float:
+    def first_variation(self, zeta, form="weak", spec=None) -> Integral:
         return graph_first_variation(self.phi, zeta, self.window, form, spec)
 
     def mean_curvature(self, u, v):

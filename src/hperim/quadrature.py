@@ -11,7 +11,9 @@ error within the tolerance (never more than the remaining
 evaluates all their children together.  The refinement path is a pure
 function of the spec and the integrand, and the final accumulation is a
 compensated sum over the leaves in creation order, so results are
-bit-identical across runs.
+bit-identical across runs.  Every integral comes back as an ``Integral``
+whose ``converged`` flag says whether the tolerance was met, after the
+``ier`` status of QUADPACK (Piessens et al., 1983).
 
 Integrands receive numpy arrays of sample coordinates and must return an
 array of values of the same length, computed point by point: one call may
@@ -25,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Integral",
     "QuadratureSpec",
+    "DEFAULT_SPEC",
     "integrate_1d",
     "integrate_2d",
     "compensated_sum",
@@ -153,6 +157,21 @@ class QuadratureSpec:
 DEFAULT_SPEC = QuadratureSpec()
 
 
+@dataclass(frozen=True)
+class Integral:
+    """An integral's value, its error estimate, and whether it converged.
+
+    ``converged`` is the integrator's own stopping test on the final leaves,
+    ``error <= max(abs_floor, rel_tol * |value|)``; it is False when
+    refinement stopped at the ``max_subdivisions`` budget or at the rounding
+    floor before meeting the tolerance.
+    """
+
+    value: float
+    error: float
+    converged: bool
+
+
 def compensated_sum(values) -> float:
     """Neumaier-compensated sum of a sequence of floats."""
     total = 0.0
@@ -235,10 +254,10 @@ def _adapt(f, first_cell, spec):
     cells = np.asarray([first_cell], dtype=float)
     vals, errs = _eval_cells(f, cells, rule)
     splits = 0
-    while splits < spec.max_subdivisions:
+    while True:
         total_val, total_err = float(vals.sum()), float(errs.sum())
         target = max(spec.abs_floor, spec.rel_tol * abs(total_val))
-        if total_err <= target:
+        if total_err <= target or splits >= spec.max_subdivisions:
             break
         worst = np.argsort(-errs, kind="stable")
         # splitting cannot improve a cell below rounding noise
@@ -256,35 +275,35 @@ def _adapt(f, first_cell, spec):
         vals = np.concatenate([vals[keep], child_vals])
         errs = np.concatenate([errs[keep], child_errs])
         splits += chosen.size
-    return compensated_sum(vals), compensated_sum(errs)
+    return Integral(compensated_sum(vals), compensated_sum(errs), total_err <= target)
 
 
-def integrate_1d(f, interval, spec: QuadratureSpec | None = None):
-    """Integrate f over [a, b]; returns (value, error estimate).
+def integrate_1d(f, interval, spec: QuadratureSpec | None = None) -> Integral:
+    """Integrate f over [a, b].
 
-    Refinement also stops, silently, after ``spec.max_subdivisions`` splits
-    or when the worst cell's error reaches the rounding floor; the estimate
-    is then returned with its error above the target.
+    Refinement also stops after ``spec.max_subdivisions`` splits or when the
+    worst cell's error reaches the rounding floor; the result then has its
+    error above the target and ``converged`` False.
     """
     spec = spec or DEFAULT_SPEC
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration interval must be finite")
     if a == b:
-        return 0.0, 0.0
+        return Integral(0.0, 0.0, True)
     return _adapt(f, (a, b), spec)
 
 
-def integrate_2d(f, box, spec: QuadratureSpec | None = None):
-    """Integrate f(u, v) over [u0, u1] x [v0, v1]; returns (value, error estimate).
+def integrate_2d(f, box, spec: QuadratureSpec | None = None) -> Integral:
+    """Integrate f(u, v) over [u0, u1] x [v0, v1].
 
-    Stops silently at ``spec.max_subdivisions`` and at the rounding floor,
-    as :func:`integrate_1d` does.
+    Stops at ``spec.max_subdivisions`` and at the rounding floor, reporting
+    ``converged`` False, as :func:`integrate_1d` does.
     """
     spec = spec or DEFAULT_SPEC
     u0, u1, v0, v1 = (float(b) for b in box)
     if not all(np.isfinite(c) for c in (u0, u1, v0, v1)):
         raise ValueError("integration box must be finite")
     if u0 == u1 or v0 == v1:
-        return 0.0, 0.0
+        return Integral(0.0, 0.0, True)
     return _adapt(f, (u0, u1, v0, v1), spec)

@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Jet, Point, ScalarField
-from .quadrature import QuadratureSpec, integrate_2d
+from .core import Jet, ScalarField
+from .quadrature import Integral, QuadratureSpec, integrate_2d
 
 __all__ = [
     "CharacteristicPointError",
@@ -184,13 +184,6 @@ class LevelSurface:
     def frame_data(self, x, y, t) -> FrameData:
         return FrameData(self.phi.jet(x, y, t), np.asarray(x, float), np.asarray(y, float), np.asarray(t, float))
 
-    def frame(self, g: Point) -> SurfaceFrame:
-        fd = self.frame_data(g.x, g.y, g.t)
-        return SurfaceFrame(
-            float(fd.p), float(fd.q), float(fd.omega), float(fd.W),
-            float(fd.pbar), float(fd.qbar), float(fd.obar),
-        )
-
 
 @dataclass(frozen=True)
 class SurfacePatch:
@@ -221,10 +214,6 @@ class SurfacePatch:
         for comp in (cx, cy, ct):
             out.append(comp if isinstance(comp, Jet) else Jet.constant(np.broadcast_to(float(comp), ju.val.shape).copy(), 2))
         return tuple(out)
-
-    def point(self, u: float, v: float) -> Point:
-        cx, cy, ct = self.chart_jets(u, v)
-        return Point(float(cx.val), float(cy.val), float(ct.val))
 
     def grid(self, n: int = 5):
         u0, u1, v0, v1 = self.box
@@ -266,13 +255,13 @@ def integrate_on_surface(
     patch: SurfacePatch,
     term,
     spec: QuadratureSpec | None = None,
-):
+) -> Integral:
     """Integrate term(fd) against the horizontal perimeter measure.
 
     ``term`` receives the batched FrameData of the sampled points and must
     return an array of integrand values; the measure weight (including the
-    chart Jacobian) is applied here.  Returns (value, error estimate).
-    Raises ValueError if the chart leaves the surface on a validation grid.
+    chart Jacobian) is applied here.  Raises ValueError if the chart leaves
+    the surface on a validation grid.
     """
     resid = patch.max_defining_residual(surface)
     if resid > _ON_SURFACE_TOL:
@@ -291,7 +280,6 @@ def h_perimeter_integral(
     patch: SurfacePatch,
     f: ScalarField,
     spec: QuadratureSpec | None = None,
-) -> float:
+) -> Integral:
     """Integral of f over the patch against the horizontal perimeter measure."""
-    value, _ = integrate_on_surface(surface, patch, lambda fd: f.value(fd.x, fd.y, fd.t), spec)
-    return value
+    return integrate_on_surface(surface, patch, lambda fd: f.value(fd.x, fd.y, fd.t), spec)

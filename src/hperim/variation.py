@@ -44,12 +44,11 @@ import numpy as np
 
 from .core import Jet, ScalarField, jet_abs, smooth_step
 from .graphs import AlphaBetaGraph
-from .quadrature import QuadratureSpec, compensated_term_sum, integrate_2d
+from .quadrature import Integral, QuadratureSpec, compensated_term_sum, integrate_2d
 from .surfaces import FrameData, LevelSurface, SurfacePatch, integrate_on_surface
 
 __all__ = [
     "DeformationField",
-    "VariationResult",
     "zero_field",
     "extend_profile",
     "nu_deformation",
@@ -58,8 +57,6 @@ __all__ = [
     "second_variation_x1",
     "second_variation_nu",
     "pulled_back_form",
-    "pulled_back_x1",
-    "pulled_back_nu",
 ]
 
 _SUPPORT_TOL = 1e-12
@@ -84,13 +81,6 @@ class DeformationField:
 
     def components(self):
         return (self.a, self.b, self.k)
-
-
-@dataclass(frozen=True)
-class VariationResult:
-    value: float
-    error: float
-    route: str
 
 
 def _check_boundary_support(fields, patch: SurfacePatch, n: int = 33):
@@ -123,7 +113,7 @@ def first_variation(
     patch: SurfacePatch,
     deformation: DeformationField,
     spec: QuadratureSpec | None = None,
-) -> VariationResult:
+) -> Integral:
     """First variation of the perimeter along the deformation."""
     _check_boundary_support(deformation.components(), patch)
     fa, fb, fk = deformation.components()
@@ -134,8 +124,7 @@ def first_variation(
         kv = fk.value(fd.x, fd.y, fd.t)
         return fd.mean_curvature * (av * fd.p + bv * fd.q + kv * fd.omega) / fd.W
 
-    value, error = integrate_on_surface(surface, patch, term, spec)
-    return VariationResult(value, error, "first-variation")
+    return integrate_on_surface(surface, patch, term, spec)
 
 
 def second_variation_general(
@@ -143,7 +132,7 @@ def second_variation_general(
     patch: SurfacePatch,
     deformation: DeformationField,
     spec: QuadratureSpec | None = None,
-) -> VariationResult:
+) -> Integral:
     """Second variation along a X1 + b X2 + k T through the general integrand."""
     _check_boundary_support(deformation.components(), patch)
     fa, fb, fk = deformation.components()
@@ -169,8 +158,7 @@ def second_variation_general(
         ]
         return compensated_term_sum(terms)
 
-    value, error = integrate_on_surface(surface, patch, term, spec)
-    return VariationResult(value, error, "general")
+    return integrate_on_surface(surface, patch, term, spec)
 
 
 def second_variation_x1(
@@ -179,7 +167,7 @@ def second_variation_x1(
     a: ScalarField,
     spec: QuadratureSpec | None = None,
     form: str = "raw",
-) -> VariationResult:
+) -> Integral:
     """Second variation along a X1.
 
     The raw form substitutes b = k = 0 into the general integrand; the
@@ -211,8 +199,7 @@ def second_variation_x1(
     else:
         raise ValueError(f"form must be 'raw' or 'reduced', got {form!r}")
 
-    value, error = integrate_on_surface(surface, patch, term, spec)
-    return VariationResult(value, error, f"x1-{form}")
+    return integrate_on_surface(surface, patch, term, spec)
 
 
 def second_variation_nu(
@@ -222,7 +209,7 @@ def second_variation_nu(
     k: ScalarField | None = None,
     spec: QuadratureSpec | None = None,
     form: str = "raw",
-) -> VariationResult:
+) -> Integral:
     """Second variation along h nu_H + k T.
 
     Raw form (any k):
@@ -263,8 +250,7 @@ def second_variation_nu(
     else:
         raise ValueError(f"form must be 'raw' or 'reduced', got {form!r}")
 
-    value, error = integrate_on_surface(surface, patch, term, spec)
-    return VariationResult(value, error, f"nu-{form}")
+    return integrate_on_surface(surface, patch, term, spec)
 
 
 def extend_profile(graph: AlphaBetaGraph, u: ScalarField, cut_scale: float = 1.0) -> ScalarField:
@@ -311,11 +297,10 @@ def pulled_back_form(
     exponent: float,
     box,
     spec: QuadratureSpec | None = None,
-):
+) -> Integral:
     """Chart-plane quadratic form of the reduced second variation.
 
     exponent 1.5 gives the X1 route, 0.5 the horizontal-normal route.
-    Returns (value, error).
     """
     if u.nvars != 2:
         raise ValueError("profile must be a field of the two chart coordinates")
@@ -333,13 +318,3 @@ def pulled_back_form(
         ])
 
     return integrate_2d(f, box, spec)
-
-
-def pulled_back_x1(graph: AlphaBetaGraph, u: ScalarField, box, spec=None) -> float:
-    """X1-route second variation evaluated in the chart plane."""
-    return pulled_back_form(graph, u, 1.5, box, spec)[0]
-
-
-def pulled_back_nu(graph: AlphaBetaGraph, u: ScalarField, box, spec=None) -> float:
-    """Horizontal-normal-route second variation evaluated in the chart plane."""
-    return pulled_back_form(graph, u, 0.5, box, spec)[0]

@@ -27,7 +27,7 @@ from hperim.surfaces import h_perimeter_integral
 from hperim.variation import (
     DeformationField,
     extend_profile,
-    pulled_back_x1,
+    pulled_back_form,
     second_variation_general,
     second_variation_x1,
 )
@@ -185,7 +185,7 @@ def test_criterion_7_route_chain_agreement():
         u = ScalarField(rule, 2)
         a = extend_profile(graph, u)
         values = [
-            pulled_back_x1(graph, u, box),
+            pulled_back_form(graph, u, 1.5, box).value,
             second_variation_x1(graph.surface, patch, a, form="raw").value,
             second_variation_x1(graph.surface, patch, a, form="reduced").value,
             second_variation_general(
@@ -213,16 +213,16 @@ def test_criterion_8_intrinsic_chain():
     zeta = ScalarField(
         lambda a, b: (1.0 + 0.4 * a * b) * plateau(a, -1.0, 1.0) * plateau(b, -1.0, 1.0), 2
     )
-    weak = graph_first_variation(phi, zeta, window, form="weak")
-    strong = graph_first_variation(phi, zeta, window, form="strong")
+    weak = graph_first_variation(phi, zeta, window, form="weak").value
+    strong = graph_first_variation(phi, zeta, window, form="strong").value
 
     curved = ScalarField(lambda a, b: 0.3 * a * a - 0.2 * b + 0.1 * a * b * b, 2)
-    wc = graph_first_variation(curved, zeta, window, form="weak")
-    sc = graph_first_variation(curved, zeta, window, form="strong")
+    wc = graph_first_variation(curved, zeta, window, form="weak").value
+    sc = graph_first_variation(curved, zeta, window, form="strong").value
 
-    per = graph_perimeter(phi, window)
+    per = graph_perimeter(phi, window).value
     one = ScalarField(lambda x, y, t: 1.0 + 0.0 * x, 3)
-    ambient = h_perimeter_integral(lift(phi), lift_patch(phi, window), one)
+    ambient = h_perimeter_integral(lift(phi), lift_patch(phi, window), one).value
     rel = abs(per - ambient) / per
 
     print(

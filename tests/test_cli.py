@@ -49,6 +49,7 @@ def test_curvature_csv_for_plane(tmp_path):
     ["curvature", "--alpha", "0"],
     ["curvature", "--grid", "1"],
     ["curvature", "--box", "1", "-1", "-1", "1"],
+    ["curvature", "--plane", "0", "0", "1"],
     ["burgers", "--grid", "0"],
     ["burgers", "--window", "1", "-1", "-1", "1"],
     ["burgers", "--window", "1", "1", "-1", "1"],
@@ -56,11 +57,12 @@ def test_curvature_csv_for_plane(tmp_path):
     ["identities", "--samples", "-3"],
     ["identities", "--ibp-samples", "-2"],
     ["identities", "--seed", "-1"],
+    ["replay", "missing-run-record.json"],
 ], ids=[
-    "curvature-alpha-0", "curvature-grid-1", "curvature-reversed-box",
+    "curvature-alpha-0", "curvature-grid-1", "curvature-reversed-box", "curvature-zero-normal",
     "burgers-grid-0", "burgers-reversed-window", "burgers-empty-window",
     "instability-kmax-negative", "identities-samples-negative",
-    "identities-ibp-samples-negative", "identities-seed-negative",
+    "identities-ibp-samples-negative", "identities-seed-negative", "replay-missing-file",
 ])
 def test_usage_errors_exit_2_with_message(argv, capsys):
     try:
@@ -269,6 +271,16 @@ def test_replay_refuses_nested_replay(tmp_path, capsys):
     code = run(["replay", str(rec)])
     assert code == EXIT_USAGE
     assert "refusing to replay a replay" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    "{not json", '{"outputs": {}}', "[1, 2]", '{"argv": [1], "outputs": {}}',
+], ids=["invalid-json", "no-argv", "not-an-object", "argv-not-strings"])
+def test_replay_rejects_malformed_record(tmp_path, capsys, text):
+    rec = tmp_path / "bad.json"
+    rec.write_text(text)
+    assert run(["replay", str(rec)]) == EXIT_USAGE
+    assert "cannot replay" in capsys.readouterr().err
 
 
 def test_replay_does_not_write_new_record(tmp_path):

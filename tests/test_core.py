@@ -13,8 +13,6 @@ from hperim.core import (
     ScalarField,
     dilation,
     flat_exp,
-    frame_derivative,
-    frame_second,
     group_inverse,
     group_mul,
     jet_abs,
@@ -24,6 +22,7 @@ from hperim.core import (
     jet_sqrt,
     smooth_step,
 )
+from hperim.surfaces import LevelSurface
 
 GRAD_FD_TOL = 1e-6
 HESS_FD_TOL = 1e-4
@@ -241,23 +240,13 @@ def test_scalar_field_lifts_constant_rules():
     assert np.all(j.grad == 0.0)
 
 
-def test_scalar_field_at_requires_three_variables():
-    f = ScalarField(lambda u, v: u * v, 2)
-    with pytest.raises(ValueError):
-        f.at(Point(1.0, 2.0, 3.0))
-
-
-def test_scalar_field_at_returns_point_jet():
-    f = ScalarField(lambda x, y, t: x * y + t, 3)
-    sj = f.at(Point(2.0, 3.0, 1.0))
-    assert sj.value == 7.0
-    assert sj.grad.shape == (3,)
-    assert sj.hess.shape == (3, 3)
-    assert np.allclose(sj.grad, [3.0, 2.0, 1.0])
-
-
 # ---------------------------------------------------------------------------
-# frame derivatives
+# frame derivatives, as FrameData takes them
+
+
+def _frame(f, g):
+    """FrameData of the field f at the point g: p, q, omega = X1 f, X2 f, T f."""
+    return LevelSurface(f).frame_data(g.x, g.y, g.t)
 
 
 def test_frame_derivative_on_coordinates():
@@ -266,10 +255,11 @@ def test_frame_derivative_on_coordinates():
     rng = np.random.default_rng(23)
     for _ in range(5):
         g = Point(*rng.uniform(-2, 2, 3))
-        assert math.isclose(frame_derivative(f_x, g, "X1"), 1.0, abs_tol=EXACT_TOL)
-        assert math.isclose(frame_derivative(f_t, g, "X1"), -0.5 * g.y, abs_tol=EXACT_TOL)
-        assert math.isclose(frame_derivative(f_t, g, "X2"), 0.5 * g.x, abs_tol=EXACT_TOL)
-        assert math.isclose(frame_derivative(f_t, g, "T"), 1.0, abs_tol=EXACT_TOL)
+        fd_t = _frame(f_t, g)
+        assert math.isclose(float(_frame(f_x, g).p), 1.0, abs_tol=EXACT_TOL)
+        assert math.isclose(float(fd_t.p), -0.5 * g.y, abs_tol=EXACT_TOL)
+        assert math.isclose(float(fd_t.q), 0.5 * g.x, abs_tol=EXACT_TOL)
+        assert math.isclose(float(fd_t.omega), 1.0, abs_tol=EXACT_TOL)
 
 
 def test_frame_commutator_is_the_vertical_field():
@@ -277,9 +267,9 @@ def test_frame_commutator_is_the_vertical_field():
     rng = np.random.default_rng(31)
     for f in _sample_fields()[:3]:
         for _ in range(4):
-            g = Point(*rng.uniform(-1.5, 1.5, 3))
-            comm = frame_second(f, g, "X1", "X2") - frame_second(f, g, "X2", "X1")
-            assert math.isclose(comm, frame_derivative(f, g, "T"), rel_tol=1e-10, abs_tol=1e-10)
+            fd = _frame(f, Point(*rng.uniform(-1.5, 1.5, 3)))
+            comm = float(fd.x1_of(fd.grad_q) - fd.x2_of(fd.grad_p))
+            assert math.isclose(comm, float(fd.omega), rel_tol=1e-10, abs_tol=1e-10)
 
 
 def test_frame_second_against_symbolic_operators():
@@ -297,22 +287,20 @@ def test_frame_second_against_symbolic_operators():
     assert sp.simplify(sym_x2(sym_x2(expr)) - (-x)) == 0
 
     f = ScalarField(lambda xj, yj, tj: xj - yj * tj, 3)
-    pairs = [("X1", sym_x1), ("X2", sym_x2)]
     rng = np.random.default_rng(37)
     for _ in range(4):
         g = Point(*rng.uniform(-2, 2, 3))
         subs = {x: g.x, y: g.y, t: g.t}
-        for n1, s1 in pairs:
-            for n2, s2 in pairs:
-                want = float(s1(s2(expr)).subs(subs))
-                got = frame_second(f, g, n1, n2)
-                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_frame_derivative_rejects_unknown_name():
-    f = _sample_fields()[0]
-    with pytest.raises((KeyError, ValueError)):
-        frame_derivative(f, IDENTITY, "X3")
+        fd = _frame(f, g)
+        # grad_p and grad_q are the gradients of X1 f and X2 f
+        pairs = [
+            (sym_x1(sym_x1(expr)), fd.x1_of(fd.grad_p)),
+            (sym_x2(sym_x1(expr)), fd.x2_of(fd.grad_p)),
+            (sym_x1(sym_x2(expr)), fd.x1_of(fd.grad_q)),
+            (sym_x2(sym_x2(expr)), fd.x2_of(fd.grad_q)),
+        ]
+        for want, got in pairs:
+            assert math.isclose(float(got), float(want.subs(subs)), rel_tol=1e-12, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------

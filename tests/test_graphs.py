@@ -115,10 +115,10 @@ def test_graph_patch_sits_on_surface():
 
 def test_chart_point_round_trip():
     graph = AlphaBetaGraph(2.0, 1.0)
-    g = graph.chart_point(0.5, -0.25)
-    assert math.isclose(g.x, 0.5 * (2.0 * -0.25 + 1.0))
-    assert math.isclose(g.y, 0.5)
-    assert math.isclose(g.t, -0.25)
+    cx, cy, ct = graph.patch((-1.0, 1.0), (-1.0, 1.0)).chart_jets(0.5, -0.25)
+    assert math.isclose(float(cx.val), 0.5 * (2.0 * -0.25 + 1.0))
+    assert math.isclose(float(cy.val), 0.5)
+    assert math.isclose(float(ct.val), -0.25)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import hperim.instability
 from hperim.graphs import AlphaBetaGraph
 from hperim.instability import (
     InstabilityCertificate,
@@ -21,7 +22,7 @@ from hperim.instability import (
     profile_constant,
     u_k_field,
 )
-from hperim.quadrature import integrate_1d
+from hperim.quadrature import Integral, QuadratureSpec, integrate_1d
 from hperim.variation import pulled_back_form
 
 # ---------------------------------------------------------------------------
@@ -123,8 +124,8 @@ def test_hardy_rhs_decomposes_by_parts():
         c1 = 1.0 + 0.5 * alpha * y * y
         return cutoff(k, y) ** 2 / (c1 * c1)
 
-    d, _ = integrate_1d(dpart, (-2.0 * k, 2.0 * k))
-    w, _ = integrate_1d(wpart, (-2.0 * k, 2.0 * k))
+    d = integrate_1d(dpart, (-2.0 * k, 2.0 * k)).value
+    w = integrate_1d(wpart, (-2.0 * k, 2.0 * k)).value
     assert math.isclose(rhs, d + 0.5 * alpha * w, rel_tol=1e-8)
 
 
@@ -134,13 +135,13 @@ def test_separable_profile_factors_through_the_gap(exponent):
     k, alpha, beta = 2, 1.0, 0.0
     graph = AlphaBetaGraph(alpha, beta)
     box = (-2.0 * k, 2.0 * k, -2.0 * k, 2.0 * k)
-    value, _ = pulled_back_form(graph, u_k_field(k, alpha), exponent, box)
+    value = pulled_back_form(graph, u_k_field(k, alpha), exponent, box).value
 
     def t_density(t):
         s = alpha * t + beta
         return cutoff(k, t) ** 2 / (1.0 + s * s) ** exponent
 
-    i_t, _ = integrate_1d(t_density, (-2.0 * k, 2.0 * k))
+    i_t = integrate_1d(t_density, (-2.0 * k, 2.0 * k)).value
     gap = hardy_sides(k, alpha)[2]
     assert math.isclose(value, -2.0 * alpha * i_t * gap, rel_tol=1e-8)
 
@@ -202,6 +203,18 @@ def test_scan_exhaustion_reports_rows():
         certify_instability(1.0, 0.0, direction="x1", k_max=1)
     assert len(info.value.scan) == 1
     assert info.value.scan[0]["value"] > 0.0
+
+
+def test_unconverged_integrals_do_not_certify(monkeypatch):
+    # one split per integral: no chart-plane step reaches its tolerance
+    with pytest.raises(ScanExhaustedError) as info:
+        certify_instability(1.0, 0.0, "x1", k_max=4, spec=QuadratureSpec(max_subdivisions=1))
+    assert [sorted(row) for row in info.value.scan] == [["error", "k", "value"]] * 4
+    # an unconverged surface cross-check fails like a route disagreement
+    monkeypatch.setattr(hperim.instability, "second_variation_x1",
+                        lambda *args: Integral(-2.92, 1e-9, False))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        certify_instability(1.0, 0.0, "x1", k_max=2)
 
 
 def test_certificate_rejects_unknown_direction():

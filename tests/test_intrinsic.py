@@ -15,7 +15,6 @@ from hperim.intrinsic import (
     graph_perimeter,
     lift,
     lift_patch,
-    lift_point,
     plane_phi,
 )
 from hperim.surfaces import h_perimeter_integral
@@ -86,33 +85,34 @@ def test_plane_profile_flat_and_sloped():
     u, v = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9))
     assert np.max(np.abs(graph_mean_curvature(phi, u, v))) < 1e-12
     # B = phi_u = -b/a everywhere, so the perimeter density is constant
-    per = graph_perimeter(phi, WINDOW)
+    per = graph_perimeter(phi, WINDOW).value
     assert math.isclose(per, 4.0 * math.sqrt(1.0 + (4.0 / 3.0) ** 2), rel_tol=1e-12)
 
 
 def test_zero_profile_perimeter_is_window_area():
     flat = ScalarField(lambda u, v: 0.0 * u + 0.0 * v, 2)
-    assert math.isclose(graph_perimeter(flat, WINDOW), 4.0, rel_tol=1e-12)
+    assert math.isclose(graph_perimeter(flat, WINDOW).value, 4.0, rel_tol=1e-12)
 
 
 def test_perimeter_matches_ambient_route():
     """Chart-plane perimeter == surface-measure integral over the lifted patch."""
     phi = family_phi(1.0, 0.0)
-    value = graph_perimeter(phi, WINDOW)
+    value = graph_perimeter(phi, WINDOW).value
     one = ScalarField(lambda x, y, t: 1.0 + 0.0 * x, 3)
-    ambient = h_perimeter_integral(lift(phi), lift_patch(phi, WINDOW), one)
+    ambient = h_perimeter_integral(lift(phi), lift_patch(phi, WINDOW), one).value
     assert math.isclose(value, ambient, rel_tol=1e-6)
 
 
 def test_curvature_matches_level_surface_route():
     phi = curved_phi()
     surface = lift(phi)
+    patch = lift_patch(phi, WINDOW)
     rng = np.random.default_rng(14)
     for _ in range(12):
         u = float(rng.uniform(-1, 1))
         v = float(rng.uniform(-1, 1))
-        g = lift_point(phi, u, v)
-        fd = surface.frame_data(g.x, g.y, g.t)
+        cx, cy, ct = patch.chart_jets(u, v)
+        fd = surface.frame_data(cx.val, cy.val, ct.val)
         assert math.isclose(
             graph_mean_curvature(phi, u, v), float(fd.mean_curvature),
             rel_tol=1e-10, abs_tol=1e-10,
@@ -126,8 +126,8 @@ def test_curvature_matches_level_surface_route():
 def test_weak_and_strong_forms_agree_by_parts():
     phi = curved_phi()
     zeta = bump_zeta()
-    weak = graph_first_variation(phi, zeta, WINDOW, form="weak")
-    strong = graph_first_variation(phi, zeta, WINDOW, form="strong")
+    weak = graph_first_variation(phi, zeta, WINDOW, form="weak").value
+    strong = graph_first_variation(phi, zeta, WINDOW, form="strong").value
     assert abs(weak - strong) < 1e-7
 
 
@@ -135,7 +135,7 @@ def test_family_first_variation_vanishes():
     phi = family_phi(2.0, 1.0)
     zeta = bump_zeta()
     for form in ("weak", "strong"):
-        assert abs(graph_first_variation(phi, zeta, WINDOW, form=form)) < 1e-9
+        assert abs(graph_first_variation(phi, zeta, WINDOW, form=form).value) < 1e-9
 
 
 def test_first_variation_rejects_unknown_form():
@@ -158,21 +158,22 @@ def test_lift_is_never_characteristic():
     # X1 of the lifted defining function is identically 1
     phi = curved_phi()
     surface = lift(phi)
+    patch = lift_patch(phi, WINDOW)
     rng = np.random.default_rng(2)
     for _ in range(20):
-        g = lift_point(phi, float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
-        fd = surface.frame_data(g.x, g.y, g.t)
+        cx, cy, ct = patch.chart_jets(float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3)))
+        fd = surface.frame_data(cx.val, cy.val, ct.val)
         assert math.isclose(float(fd.p), 1.0, abs_tol=1e-12)
 
 
 def test_lift_point_lies_on_chart():
     phi = family_phi(2.0, 1.0)
-    g = lift_point(phi, 0.5, -0.25)
+    cx, cy, ct = lift_patch(phi, WINDOW).chart_jets(0.5, -0.25)
     # chart (u, v) -> (phi, u, v - u phi / 2)
     val = phi.value(0.5, -0.25)
-    assert math.isclose(g.x, val)
-    assert math.isclose(g.y, 0.5)
-    assert math.isclose(g.t, -0.25 - 0.25 * val)
+    assert math.isclose(float(cx.val), val)
+    assert math.isclose(float(cy.val), 0.5)
+    assert math.isclose(float(ct.val), -0.25 - 0.25 * val)
 
 
 def test_profile_nvars_is_validated():

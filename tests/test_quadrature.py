@@ -11,6 +11,7 @@ from hperim.graphs import AlphaBetaGraph
 from hperim.instability import u_k_field
 from hperim.quadrature import (
     DEFAULT_SPEC,
+    Integral,
     QuadratureSpec,
     compensated_sum,
     compensated_term_sum,
@@ -51,16 +52,18 @@ BATTERY_2D = [
 
 @pytest.mark.parametrize("name,f,interval,exact", BATTERY_1D, ids=[b[0] for b in BATTERY_1D])
 def test_battery_1d(name, f, interval, exact):
-    value, err = integrate_1d(f, interval)
-    assert abs(value - exact) <= VALUE_TOL * max(1.0, abs(exact))
-    assert err <= max(DEFAULT_SPEC.abs_floor, DEFAULT_SPEC.rel_tol * abs(value)) * 1.01
+    res = integrate_1d(f, interval)
+    assert abs(res.value - exact) <= VALUE_TOL * max(1.0, abs(exact))
+    assert res.error <= max(DEFAULT_SPEC.abs_floor, DEFAULT_SPEC.rel_tol * abs(res.value)) * 1.01
+    assert res.converged
 
 
 @pytest.mark.parametrize("name,f,box,exact", BATTERY_2D, ids=[b[0] for b in BATTERY_2D])
 def test_battery_2d(name, f, box, exact):
-    value, err = integrate_2d(f, box)
-    assert abs(value - exact) <= VALUE_TOL * max(1.0, abs(exact))
-    assert err <= max(DEFAULT_SPEC.abs_floor, DEFAULT_SPEC.rel_tol * abs(value)) * 1.01
+    res = integrate_2d(f, box)
+    assert abs(res.value - exact) <= VALUE_TOL * max(1.0, abs(exact))
+    assert res.error <= max(DEFAULT_SPEC.abs_floor, DEFAULT_SPEC.rel_tol * abs(res.value)) * 1.01
+    assert res.converged
 
 
 def battery_soundness():
@@ -68,14 +71,14 @@ def battery_soundness():
     sound = 0
     total = 0
     for _, f, interval, exact in BATTERY_1D:
-        value, err = integrate_1d(f, interval)
+        res = integrate_1d(f, interval)
         total += 1
-        if abs(value - exact) <= max(10.0 * err, 1e-13):
+        if abs(res.value - exact) <= max(10.0 * res.error, 1e-13):
             sound += 1
     for _, f, box, exact in BATTERY_2D:
-        value, err = integrate_2d(f, box)
+        res = integrate_2d(f, box)
         total += 1
-        if abs(value - exact) <= max(10.0 * err, 1e-13):
+        if abs(res.value - exact) <= max(10.0 * res.error, 1e-13):
             sound += 1
     return sound, total
 
@@ -89,9 +92,9 @@ def test_battery_error_estimates_are_sound():
 def test_separable_integrand_factorizes():
     fx = lambda x: 1.0 / (1.0 + x)
     gy = lambda y: np.exp(y)
-    v2, _ = integrate_2d(lambda x, y: fx(x) * gy(y), (0.0, 1.0, -1.0, 0.5))
-    v1a, _ = integrate_1d(fx, (0.0, 1.0))
-    v1b, _ = integrate_1d(gy, (-1.0, 0.5))
+    v2 = integrate_2d(lambda x, y: fx(x) * gy(y), (0.0, 1.0, -1.0, 0.5)).value
+    v1a = integrate_1d(fx, (0.0, 1.0)).value
+    v1b = integrate_1d(gy, (-1.0, 0.5)).value
     assert abs(v2 - v1a * v1b) < 1e-12
 
 
@@ -102,11 +105,11 @@ def test_iterated_matches_two_dimensional():
         x = np.asarray(x)
         out = np.empty(x.shape)
         for i, xi in np.ndenumerate(x):
-            out[i] = integrate_1d(lambda y: f(xi, y), (0.0, 1.0))[0]
+            out[i] = integrate_1d(lambda y: f(xi, y), (0.0, 1.0)).value
         return out
 
-    nested, _ = integrate_1d(outer, (0.0, 1.0))
-    direct, _ = integrate_2d(f, (0.0, 1.0, 0.0, 1.0))
+    nested = integrate_1d(outer, (0.0, 1.0)).value
+    direct = integrate_2d(f, (0.0, 1.0, 0.0, 1.0)).value
     assert abs(nested - direct) < 1e-10
 
 
@@ -130,13 +133,13 @@ def test_nonfinite_bounds_raise():
 
 
 def test_zero_width_domain_is_zero():
-    assert integrate_1d(np.exp, (1.0, 1.0)) == (0.0, 0.0)
-    assert integrate_2d(lambda x, y: x * y, (0.0, 1.0, 2.0, 2.0)) == (0.0, 0.0)
+    assert integrate_1d(np.exp, (1.0, 1.0)) == Integral(0.0, 0.0, True)
+    assert integrate_2d(lambda x, y: x * y, (0.0, 1.0, 2.0, 2.0)) == Integral(0.0, 0.0, True)
 
 
 def test_reversed_interval_flips_sign():
-    fwd, _ = integrate_1d(np.exp, (0.0, 1.0))
-    rev, _ = integrate_1d(np.exp, (1.0, 0.0))
+    fwd = integrate_1d(np.exp, (0.0, 1.0)).value
+    rev = integrate_1d(np.exp, (1.0, 0.0)).value
     assert math.isclose(rev, -fwd, rel_tol=1e-14)
 
 
@@ -158,16 +161,16 @@ def test_spec_rejects_bad_parameters(kwargs):
 def test_higher_order_rule_agrees():
     spec21 = QuadratureSpec(rule_order=21)
     f = lambda x: np.exp(np.sin(2.0 * x)) / (1.5 + np.cos(x))
-    a, _ = integrate_1d(f, (0.0, 4.0))
-    b, _ = integrate_1d(f, (0.0, 4.0), spec21)
+    a = integrate_1d(f, (0.0, 4.0)).value
+    b = integrate_1d(f, (0.0, 4.0), spec21).value
     assert abs(a - b) < 1e-10
 
 
 def test_tight_tolerance_is_honored():
     spec = QuadratureSpec(rel_tol=1e-12)
-    value, err = integrate_1d(lambda x: 1.0 / (1.0 + x), (0.0, 1.0), spec)
-    assert abs(value - math.log(2.0)) < 1e-13
-    assert err <= max(spec.abs_floor, spec.rel_tol * abs(value)) * 1.01
+    res = integrate_1d(lambda x: 1.0 / (1.0 + x), (0.0, 1.0), spec)
+    assert abs(res.value - math.log(2.0)) < 1e-13
+    assert res.error <= max(spec.abs_floor, spec.rel_tol * abs(res.value)) * 1.01
 
 
 def test_compensated_sum_recovers_cancelled_tail():
@@ -213,7 +216,7 @@ def test_subdivision_budget_fixes_points_and_batches_whole_cells(splits):
         (integrate_2d, lambda x, y: np.sin(1e3 * x) * np.cos(1e3 * y), (0.0, 1.0, 0.0, 1.0), 225),
     ]:
         sizes = []
-        integrate(counting(f, sizes), domain, spec)
+        assert not integrate(counting(f, sizes), domain, spec).converged
         assert sum(sizes) == (1 + 2 * splits) * per_cell
         assert all(n % per_cell == 0 and n <= MAX_POINTS_PER_CALL for n in sizes)
 
@@ -229,8 +232,8 @@ def test_chart_plane_integral_takes_few_calls(monkeypatch):
     spec = replace(DEFAULT_SPEC, abs_floor=DEFAULT_SPEC.abs_floor / 4)
     box = (-4.0, 4.0, -4.0, 4.0)
     graph, profile = AlphaBetaGraph(1.0, 0.0), u_k_field(2, 1.0)
-    value, err = hperim.variation.pulled_back_form(graph, profile, 1.5, box, spec)
-    assert value + err < 0.0
+    res = hperim.variation.pulled_back_form(graph, profile, 1.5, box, spec)
+    assert res.value + res.error < 0.0
     assert len(sizes) <= 60
     assert sum(sizes) <= 160875
     assert max(sizes) <= MAX_POINTS_PER_CALL
@@ -246,8 +249,9 @@ def test_unreachable_tolerance_stops_at_rounding_floor(integrate, f, domain, exa
     # rounding floor can end refinement
     spec = QuadratureSpec(rel_tol=1e-30)
     sizes = []
-    value, err = integrate(counting(f, sizes), domain, spec)
-    assert math.isfinite(value) and math.isfinite(err)
-    assert err > spec.abs_floor
+    res = integrate(counting(f, sizes), domain, spec)
+    assert math.isfinite(res.value) and math.isfinite(res.error)
+    assert res.error > spec.abs_floor
+    assert not res.converged
     assert sum(sizes) < 100 * 225
-    assert abs(value - exact) <= 1e-12 * exact
+    assert abs(res.value - exact) <= 1e-12 * exact

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from hperim.core import Point, ScalarField, jet_cos, jet_exp, jet_sin
+from hperim.core import ScalarField, jet_cos, jet_exp, jet_sin
 from hperim.graphs import AlphaBetaGraph
 from hperim.surfaces import (
     CharacteristicPointError,
@@ -43,12 +43,12 @@ def unit_term(fd):
 def test_frame_on_ruled_graph_example():
     # x = y t at (y, t) = (1, 1): p = 3/2, q = -3/2, omega = -1, W = 3/sqrt(2)
     surface = AlphaBetaGraph(1.0, 0.0).surface
-    fr = surface.frame(Point(1.0, 1.0, 1.0))
-    assert math.isclose(fr.p, 1.5, abs_tol=FRAME_TOL)
-    assert math.isclose(fr.q, -1.5, abs_tol=FRAME_TOL)
-    assert math.isclose(fr.omega, -1.0, abs_tol=FRAME_TOL)
-    assert math.isclose(fr.W, 1.5 * math.sqrt(2.0), rel_tol=FRAME_TOL)
-    assert math.isclose(fr.pbar ** 2 + fr.qbar ** 2, 1.0, abs_tol=FRAME_TOL)
+    fd = surface.frame_data(1.0, 1.0, 1.0)
+    assert math.isclose(float(fd.p), 1.5, abs_tol=FRAME_TOL)
+    assert math.isclose(float(fd.q), -1.5, abs_tol=FRAME_TOL)
+    assert math.isclose(float(fd.omega), -1.0, abs_tol=FRAME_TOL)
+    assert math.isclose(float(fd.W), 1.5 * math.sqrt(2.0), rel_tol=FRAME_TOL)
+    assert math.isclose(float(fd.pbar ** 2 + fd.qbar ** 2), 1.0, abs_tol=FRAME_TOL)
 
 
 def test_level_surface_requires_three_variable_field():
@@ -152,9 +152,9 @@ def test_cylinder_angle_chart_has_unit_weight():
     # parameter box area
     surface = cylinder_surface()
     patch = cylinder_patch(math.pi / 6.0, 5.0 * math.pi / 6.0)
-    area, err = integrate_on_surface(surface, patch, unit_term)
-    assert math.isclose(area, 2.0 * math.pi / 3.0, rel_tol=1e-12)
-    assert err < 1e-10
+    area = integrate_on_surface(surface, patch, unit_term)
+    assert math.isclose(area.value, 2.0 * math.pi / 3.0, rel_tol=1e-12)
+    assert area.error < 1e-10
 
 
 def test_cylinder_chart_degenerates_where_transversal_fails():
@@ -197,7 +197,7 @@ def test_perimeter_of_ruled_graph_window():
     graph = AlphaBetaGraph(1.0, 0.0)
     patch = graph.patch((-1.0, 1.0), (-1.0, 1.0))
     one = ScalarField(lambda x, y, t: 1.0 + 0.0 * x, 3)
-    value = h_perimeter_integral(graph.surface, patch, one)
+    value = h_perimeter_integral(graph.surface, patch, one).value
     exact = (7.0 / 3.0) * (math.sqrt(2.0) + math.asinh(1.0))
     assert math.isclose(value, exact, rel_tol=1e-10)
 
@@ -207,7 +207,7 @@ def test_perimeter_of_steeper_window():
     graph = AlphaBetaGraph(2.0, 1.0)
     patch = graph.patch((-1.0, 1.0), (-1.0, 1.0))
     one = ScalarField(lambda x, y, t: 1.0 + 0.0 * x, 3)
-    value = h_perimeter_integral(graph.surface, patch, one)
+    value = h_perimeter_integral(graph.surface, patch, one).value
 
     def arc(s):
         return 0.5 * (s * math.sqrt(1.0 + s * s) + math.asinh(s))
@@ -225,13 +225,14 @@ def test_weighted_integral_on_plane_chart():
         box=(-1.0, 1.0, -1.0, 1.0),
         transversal="x",
     )
-    area, _ = integrate_on_surface(plane, patch, unit_term)
+    area = integrate_on_surface(plane, patch, unit_term).value
     assert math.isclose(area, 4.0 * 5.0 / 3.0, rel_tol=1e-12)
 
 
 def test_surface_integral_error_estimate_returned():
     graph = AlphaBetaGraph(1.0, 0.0)
     patch = graph.patch((-1.0, 1.0), (-1.0, 1.0))
-    value, err = integrate_on_surface(graph.surface, patch, lambda fd: fd.W)
-    assert err >= 0.0
-    assert value > 0.0
+    res = integrate_on_surface(graph.surface, patch, lambda fd: fd.W)
+    assert res.error >= 0.0
+    assert res.value > 0.0
+    assert res.converged
