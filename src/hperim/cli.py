@@ -226,7 +226,7 @@ def cmd_identities(args):
             failures.append(row)
     for row in ibp:
         name = f"{row['name']}[{row['sample']}]"
-        ok = row["residual"] <= row["budget"]
+        ok = row["converged"] and row["residual"] <= row["budget"]
         status = "pass" if ok else "FAIL"
         print(f"{name:28s} {row['residual']:12.3e} {row['budget']:12.3e}  {status}")
         if not ok:
@@ -237,7 +237,8 @@ def cmd_identities(args):
     for row in failures:
         where = row.get("worst_point")
         at = f" at (y, t) = ({_fmt(where[0])}, {_fmt(where[1])})" if where else ""
-        print(f"failed: {row['name']} residual {_fmt(row['residual'])}{at}")
+        unconverged = "" if row.get("converged", True) else " (an integral did not converge)"
+        print(f"failed: {row['name']} residual {_fmt(row['residual'])}{at}{unconverged}")
     worst = {row["name"]: row["residual"] for row in rows}
     code = EXIT_CHECK_FAILED if failures else EXIT_OK
     return code, {"residuals": worst, "failures": len(failures)}

@@ -141,7 +141,7 @@ def point_identity_residuals(
     tan = np.zeros(n)
     for _ in range(3):
         f = random_smooth_field(rng)
-        g = f.jet(x, y, t).grad
+        g = f.jet(x, y, t, order=1).grad
         x1f, x2f = fd.x1_of(g), fd.x2_of(g)
         zf, yf = fd.z_of(g), fd.y_of(g)
         rec = np.maximum(rec, np.abs(x1f - (fd.qbar * zf + fd.pbar * yf)))
@@ -164,7 +164,10 @@ def ibp_residuals(
 
     Each row reports the residual of one lemma for one field together with a
     budget of ten times the summed quadrature error estimates; the residual
-    should sit inside the budget.
+    should sit inside the budget.  ``converged`` says whether every integral
+    of the row met its tolerance: an error estimate of an unconverged
+    integral widens the budget it is meant to bound, so such a row must not
+    count as a pass whatever its residual.
     """
     rng = np.random.default_rng(seed)
     patch = graph.patch(ybox, tbox)
@@ -175,7 +178,7 @@ def ibp_residuals(
         zeta = random_supported_field(rng, ybox, tbox)
 
         def z_term(fd, zeta=zeta):
-            return fd.z_of(zeta.jet(fd.x, fd.y, fd.t).grad)
+            return fd.z_of(zeta.jet(fd.x, fd.y, fd.t, order=1).grad)
 
         def obar_term(fd, zeta=zeta):
             return zeta.value(fd.x, fd.y, fd.t) * fd.obar
@@ -187,13 +190,14 @@ def ibp_residuals(
             "sample": j,
             "residual": abs(z.value + o.value),
             "budget": 10.0 * (z.error + o.error) + 1e-9 * max(1.0, abs(z.value), abs(o.value)),
+            "converged": z.converged and o.converged,
         })
 
         def t_term(fd, zeta=zeta):
-            return zeta.jet(fd.x, fd.y, fd.t).grad[2]
+            return zeta.jet(fd.x, fd.y, fd.t, order=1).grad[2]
 
         def y_obar_term(fd, zeta=zeta):
-            return fd.y_of(zeta.jet(fd.x, fd.y, fd.t).grad) * fd.obar
+            return fd.y_of(zeta.jet(fd.x, fd.y, fd.t, order=1).grad) * fd.obar
 
         def curv_term(fd, zeta=zeta):
             return zeta.value(fd.x, fd.y, fd.t) * fd.obar * fd.mean_curvature
@@ -207,6 +211,7 @@ def ibp_residuals(
             "residual": abs(t.value - y.value - c.value),
             "budget": 10.0 * (t.error + y.error + c.error)
             + 1e-9 * max(1.0, abs(t.value), abs(y.value), abs(c.value)),
+            "converged": t.converged and y.converged and c.converged,
         })
 
     return rows

@@ -67,7 +67,7 @@ def profile_constant() -> float:
     The value is recorded in certificates so a profile change is visible.
     """
     f = ScalarField(lambda s: smooth_step(s), 1)
-    j = f.jet(np.linspace(1.0, 2.0, 200001))
+    j = f.jet(np.linspace(1.0, 2.0, 200001), order=1)
     return float(np.max(np.abs(j.grad[0])))
 
 
@@ -84,7 +84,7 @@ def cutoff(k: float, s) -> np.ndarray:
 
 def cutoff_prime(k: float, s) -> np.ndarray:
     f = ScalarField(lambda sj: _chi(k, sj), 1)
-    return f.jet(np.asarray(s, dtype=float)).grad[0]
+    return f.jet(np.asarray(s, dtype=float), order=1).grad[0]
 
 
 def f_k(k: float, alpha: float, y) -> np.ndarray:
@@ -94,7 +94,7 @@ def f_k(k: float, alpha: float, y) -> np.ndarray:
 
 def f_k_prime(k: float, alpha: float, y) -> np.ndarray:
     f = ScalarField(lambda yj: _chi(k, yj) / jet_sqrt(1.0 + 0.5 * alpha * yj * yj), 1)
-    return f.jet(np.asarray(y, dtype=float)).grad[0]
+    return f.jet(np.asarray(y, dtype=float), order=1).grad[0]
 
 
 def u_k_field(k: float, alpha: float) -> ScalarField:

@@ -61,7 +61,7 @@ def _require_profile(phi: ScalarField):
 def burgers(phi: ScalarField, F: ScalarField, u, v):
     """Transport derivative B_phi(F) = F_u + phi F_v at (u, v)."""
     _require_profile(phi)
-    jf = F.jet(u, v)
+    jf = F.jet(u, v, order=1)
     return jf.grad[0] + phi.value(u, v) * jf.grad[1]
 
 
@@ -85,7 +85,7 @@ def graph_perimeter(phi: ScalarField, window, spec: QuadratureSpec | None = None
     _require_profile(phi)
 
     def f(u, v):
-        j = phi.jet(u, v)
+        j = phi.jet(u, v, order=1)
         b = j.grad[0] + j.val * j.grad[1]
         return np.sqrt(1.0 + b * b)
 
@@ -111,8 +111,8 @@ def graph_first_variation(
     if form == "weak":
 
         def f(u, v):
-            jp = phi.jet(u, v)
-            jz = zeta.jet(u, v)
+            jp = phi.jet(u, v, order=1)
+            jz = zeta.jet(u, v, order=1)
             b = jp.grad[0] + jp.val * jp.grad[1]
             ratio = b / np.sqrt(1.0 + b * b)
             return ratio * (jz.grad[0] + jp.val * jz.grad[1] + jz.val * jp.grad[1])

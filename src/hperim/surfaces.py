@@ -207,12 +207,16 @@ class SurfacePatch:
             raise ValueError(f"degenerate parameter box {self.box}")
 
     def chart_jets(self, u, v) -> tuple:
-        ju = Jet.variable(np.asarray(u, float), 0, 2)
-        jv = Jet.variable(np.asarray(v, float), 1, 2)
+        """Order-1 jets of the chart coordinates at parameters (u, v); the
+        perimeter measure reads only their gradients."""
+        ju = Jet.variable(np.asarray(u, float), 0, 2, order=1)
+        jv = Jet.variable(np.asarray(v, float), 1, 2, order=1)
         cx, cy, ct = self.chart(ju, jv)
         out = []
         for comp in (cx, cy, ct):
-            out.append(comp if isinstance(comp, Jet) else Jet.constant(np.broadcast_to(float(comp), ju.val.shape).copy(), 2))
+            if not isinstance(comp, Jet):
+                comp = Jet.constant(np.broadcast_to(float(comp), ju.val.shape).copy(), 2, order=1)
+            out.append(comp)
         return tuple(out)
 
     def grid(self, n: int = 5):

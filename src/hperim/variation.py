@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Jet, ScalarField, jet_abs, smooth_step
+from .core import ScalarField, jet_abs, smooth_step
 from .graphs import AlphaBetaGraph
 from .quadrature import Integral, QuadratureSpec, compensated_term_sum, integrate_2d
 from .surfaces import FrameData, LevelSurface, SurfacePatch, integrate_on_surface
@@ -103,8 +103,10 @@ def _check_boundary_support(fields, patch: SurfacePatch, n: int = 33):
             )
 
 
-def _derivs(fd: FrameData, jet: Jet):
-    """(value, Zf, Yf, Tf) of a coefficient field from its jet."""
+def _derivs(fd: FrameData, f: ScalarField):
+    """(value, Zf, Yf, Tf) of a coefficient field at the frame's points; the
+    first derivatives are all the integrands read, so the jet is of order 1."""
+    jet = f.jet(fd.x, fd.y, fd.t, order=1)
     return jet.val, fd.z_of(jet.grad), fd.y_of(jet.grad), jet.grad[2]
 
 
@@ -138,9 +140,9 @@ def second_variation_general(
     fa, fb, fk = deformation.components()
 
     def term(fd: FrameData):
-        av, za, ya, ta = _derivs(fd, fa.jet(fd.x, fd.y, fd.t))
-        bv, zb, yb, tb = _derivs(fd, fb.jet(fd.x, fd.y, fd.t))
-        kv, zk, yk, tk = _derivs(fd, fk.jet(fd.x, fd.y, fd.t))
+        av, za, ya, ta = _derivs(fd, fa)
+        bv, zb, yb, tb = _derivs(fd, fb)
+        kv, zk, yk, tk = _derivs(fd, fk)
         pb, qb, ob = fd.pbar, fd.qbar, fd.obar
         radial = av * pb + bv * qb
         skew = av * qb - bv * pb
@@ -180,7 +182,7 @@ def second_variation_x1(
     if form == "raw":
 
         def term(fd: FrameData):
-            av, za, ya, ta = _derivs(fd, a.jet(fd.x, fd.y, fd.t))
+            av, za, ya, ta = _derivs(fd, a)
             pb, qb, ob = fd.pbar, fd.qbar, fd.obar
             terms = [
                 pb * pb * za * za,
@@ -193,7 +195,7 @@ def second_variation_x1(
     elif form == "reduced":
 
         def term(fd: FrameData):
-            av, za, _, _ = _derivs(fd, a.jet(fd.x, fd.y, fd.t))
+            av, za, _, _ = _derivs(fd, a)
             return fd.pbar * fd.pbar * za * za + av * av * fd.reduced_x1
 
     else:
@@ -223,11 +225,11 @@ def second_variation_nu(
     if form == "raw":
 
         def term(fd: FrameData):
-            hv, zh, _, _ = _derivs(fd, h.jet(fd.x, fd.y, fd.t))
+            hv, zh, _, _ = _derivs(fd, h)
             if k is None:
                 zk = yk = tk = 0.0
             else:
-                _, zk, yk, tk = _derivs(fd, k.jet(fd.x, fd.y, fd.t))
+                _, zk, yk, tk = _derivs(fd, k)
             ob = fd.obar
             acoeff = fd.a_coeff
             terms = [
@@ -244,7 +246,7 @@ def second_variation_nu(
             raise ValueError("the reduced normal form assumes no T component")
 
         def term(fd: FrameData):
-            hv, zh, _, _ = _derivs(fd, h.jet(fd.x, fd.y, fd.t))
+            hv, zh, _, _ = _derivs(fd, h)
             return zh * zh + hv * hv * fd.reduced_nu
 
     else:
@@ -307,7 +309,7 @@ def pulled_back_form(
     al, be = graph.alpha, graph.beta
 
     def f(yy, tt):
-        j = u.jet(yy, tt)
+        j = u.jet(yy, tt, order=1)
         uy = j.grad[0]
         s = al * tt + be
         c1 = 1.0 + 0.5 * al * yy * yy

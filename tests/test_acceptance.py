@@ -126,6 +126,7 @@ def test_criterion_4_integration_by_parts():
     worst = max(row["residual"] / row["budget"] for row in rows)
     print(f"criterion 4: worst residual/budget ratio = {worst:.3f} over {len(rows)} rows")
     for row in rows:
+        assert row["converged"], row
         assert row["residual"] <= row["budget"], row
 
 

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+import hperim.cli as cli
 from hperim.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -97,6 +98,17 @@ def test_identities_zero_samples_warns_vacuous(capsys):
     code = run(["identities", "--samples", "0", "--ibp-samples", "0"])
     assert code == EXIT_OK
     assert "vacuously" in capsys.readouterr().out
+
+
+def test_identities_unconverged_ibp_row_fails(capsys, monkeypatch):
+    # the CLI sets no subdivision budget, so feed it a row that did not converge
+    row = {"name": "ibp-z", "sample": 0, "residual": 1e-3, "budget": 1.0, "converged": False}
+    monkeypatch.setattr(cli, "ibp_residuals", lambda *a, **k: [row])
+    code = run(["identities", "--samples", "10", "--ibp-samples", "1"])
+    assert code == EXIT_CHECK_FAILED
+    text = capsys.readouterr().out
+    assert "ibp-z[0]" in text and "FAIL" in text
+    assert "failed: ibp-z residual 0.001 (an integral did not converge)" in text
 
 
 def test_identities_fail_exit_code(capsys):

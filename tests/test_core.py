@@ -238,6 +238,11 @@ def test_scalar_field_lifts_constant_rules():
     j = f.jet(np.zeros(4), np.zeros(4), np.zeros(4))
     assert np.all(j.val == 2.5)
     assert np.all(j.grad == 0.0)
+    # the lifted constant keeps the order of the jets the rule was given
+    for order in (0, 1, 2):
+        j = f.jet(np.zeros(4), np.zeros(4), np.zeros(4), order=order)
+        assert j.order == order and j.nvars == 3
+        assert np.all(j.val == 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hperim.identities import (
     random_smooth_field,
     random_supported_field,
 )
+from hperim.quadrature import QuadratureSpec
 
 EXPECTED_ROWS = {
     "mean-curvature-skew",
@@ -56,7 +57,18 @@ def test_integration_by_parts_residuals_within_budget():
     names = {row["name"] for row in rows}
     assert names == {"ibp-z", "ibp-t"}
     for row in rows:
+        assert row["converged"], row
         assert row["residual"] <= row["budget"], row
+
+
+def test_unconverged_integrals_mark_their_rows():
+    # one subdivision cannot meet the tolerance; the rows must say so instead
+    # of passing on the budget their own wide error estimates make
+    rows = ibp_residuals(AlphaBetaGraph(1.0, 0.0), n=2,
+                         spec=QuadratureSpec(max_subdivisions=1))
+    assert len(rows) == 4
+    for row in rows:
+        assert row["converged"] is False, row
 
 
 def test_random_field_generators():
